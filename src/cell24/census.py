@@ -35,6 +35,11 @@ class PoincareViolation(CensusError):
     a manifold gluing."""
 
 
+class GeometryError(CensusError):
+    """An exact consistency check on derived geometry (cusp stabilizers,
+    cover pairings) failed for this code."""
+
+
 # Families in fixed order, with their generator letters and the indices of
 # the two nonzero coordinates of the family's centres.
 FAMILIES = (
@@ -122,7 +127,7 @@ def build_pairings(kvecs, polytope: Polytope24 | None = None):
             tgt_center = tuple(sign * c for sign, c in zip(k, src.center))
             tgt = next(s for s in family_sides if s.center == tgt_center)
             word = pairing_word(tgt, k)
-            if word.gensphere(src.sphere) != tgt.sphere:
+            if poly.side_image(word.lorentz(), src.label) != tgt.label:
                 raise InvalidCode(
                     f"pairing {letter} does not carry its source sphere to "
                     "its target sphere"
@@ -152,19 +157,33 @@ def eps_of_word(word, eps) -> int:
 @dataclass(frozen=True)
 class Move:
     """The unique pairing move leaving a given side: the pairing whose source
-    it is, or the inverse of the pairing whose target it is."""
+    it is, or the inverse of the pairing whose target it is.
+
+    ``sides`` and ``vertices`` are the move's exact action on the faces at
+    its side, read off its own word's Lorentz matrix (``Polytope24.action``):
+    side label -> image side label for the sides meeting it in a ridge, and
+    vertex index -> image vertex index for the ideal vertices on it, with
+    None for an image outside the side or vertex lattice.
+    """
 
     letter: str
     sign: int
     word: MoebiusWord
     image: str  # label of the image side
+    sides: dict
+    vertices: dict
 
 
 def moves_by_side(pairings, polytope: Polytope24 | None = None):
+    poly = polytope or build_polytope()
     moves = {}
     for p in pairings:
-        moves[p.source.label] = Move(p.letter, 1, p.word, p.target.label)
-        moves[p.target.label] = Move(p.letter, -1, p.word.inverse(), p.source.label)
+        for label, sign, word, image in (
+            (p.source.label, 1, p.word, p.target.label),
+            (p.target.label, -1, p.word.inverse(), p.source.label),
+        ):
+            sides, vertices = poly.action(label, word.lorentz())
+            moves[label] = Move(p.letter, sign, word, image, sides, vertices)
     if len(moves) != 24:
         raise InvalidCode("pairings do not cover the 24 sides as source/target")
     return moves
@@ -209,21 +228,20 @@ def _trace(start, moves, poly):
         nodes.append(slots)
         active, passive = state
         mv = moves[active]
-        image_sphere = mv.word.gensphere(poly.sides[passive].sphere)
-        partner = poly.side_of_sphere(image_sphere)
+        partner = mv.sides[passive]
         if partner is None:
             raise PoincareViolation(
                 f"pairing {mv.letter} maps side {passive} off the side lattice"
             )
-        if not poly.adjacent(mv.image, partner.label):
+        if not poly.adjacent(mv.image, partner):
             raise PoincareViolation(
-                f"image pair {mv.image},{partner.label} is not a ridge"
+                f"image pair {mv.image},{partner} is not a ridge"
             )
         arrows.append((mv.letter, mv.sign))
-        state = (partner.label, mv.image)
+        state = (partner, mv.image)
         slots = (
-            mv.image if slots[0] == active else partner.label,
-            partner.label if slots[1] == passive else mv.image,
+            mv.image if slots[0] == active else partner,
+            partner if slots[1] == passive else mv.image,
         )
         if state == start:
             break
@@ -236,6 +254,8 @@ def trace_cycle_from(start, pairings, polytope: Polytope24 | None = None):
     """Trace one ridge cycle from an explicit (active, passive) side pair;
     returns (nodes, arrows) in printing order."""
     poly = polytope or build_polytope()
+    if not poly.adjacent(*start):
+        raise ValueError(f"start pair {start} is not a ridge")
     _states, nodes, arrows = _trace(start, moves_by_side(pairings, poly), poly)
     return nodes, arrows
 
@@ -285,14 +305,14 @@ def cycle_moebius_word(cycle: RidgeCycle, pairings) -> MoebiusWord:
 def edge_classes(pairings, polytope: Polytope24 | None = None):
     """Orbits of the 96 codimension-3 faces under the pairing groupoid.
 
-    Each orbit contributes one 3-handle.  Orbits are returned as sorted
-    tuples of EdgeFace keys (vertex pairs), deterministically ordered.
+    Each orbit contributes one 3-handle.  Orbits are returned as tuples of
+    EdgeFace keys (vertex pairs), each in ascending order of its sorted
+    vertex pair, and ordered by their least member.
     """
     poly = polytope or build_polytope()
     moves = moves_by_side(pairings, poly)
-    keys = sorted((f.vertices for f in poly.edge_faces), key=sorted)
-    index = {k: i for i, k in enumerate(keys)}
-    parent = list(range(len(keys)))
+    faces = poly.edge_faces
+    parent = list(range(len(faces)))
 
     def find(x):
         while parent[x] != x:
@@ -305,23 +325,23 @@ def edge_classes(pairings, polytope: Polytope24 | None = None):
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for face in poly.edge_faces:
+    for i, face in enumerate(faces):
         for side_label in sorted(face.sides, key=SIDE_INDEX.get):
             mv = moves[side_label]
-            image_vertices = frozenset(mv.word.point(v) for v in face.vertices)
-            image = poly.edge_face_by_vertices.get(image_vertices)
+            ends = frozenset(mv.vertices[v] for v in face.ends)
+            image = poly.edge_face_at.get(ends)
             if image is None:
                 raise PoincareViolation(
                     f"pairing {mv.letter} maps an edge face off the face lattice"
                 )
-            union(index[face.vertices], index[image.vertices])
+            union(i, image)
 
+    # Vertices are indexed in descending order, so sorting faces by their
+    # ascending vertex pairs sorts their reversed index pairs descending.
     orbits = {}
-    for k, i in index.items():
-        orbits.setdefault(find(i), []).append(k)
-    result = [tuple(sorted(v, key=sorted)) for v in orbits.values()]
-    result.sort()
-    return result
+    for i in sorted(range(len(faces)), key=lambda i: faces[i].ends[::-1], reverse=True):
+        orbits.setdefault(find(i), []).append(faces[i].vertices)
+    return [tuple(orbit) for orbit in orbits.values()]
 
 
 def presentation(pairings, cycles) -> "groups.Presentation":
@@ -364,7 +384,7 @@ def validate(code_text: str) -> ValidationReport:
         pairings = build_pairings(kvecs, poly)
         pair_ok = all(
             p.target.center == tuple(s * c for s, c in zip(p.kpart, p.source.center))
-            and p.word.gensphere(p.source.sphere) == p.target.sphere
+            and poly.side_image(p.word.lorentz(), p.source.label) == p.target.label
             for p in pairings
         )
         report.add("pairings", pair_ok, "12 side pairings, spheres map exactly")
@@ -378,13 +398,15 @@ def validate(code_text: str) -> ValidationReport:
             lengths[len(c)] = lengths.get(len(c), 0) + 1
         report.cycle_lengths = lengths
         covered = frozenset().union(*(c.ridges for c in cycles)) if cycles else frozenset()
-        partition_ok = (
+        # A right-angled ridge closes up after exactly four dihedral angles.
+        cycles_ok = (
             sum(len(c.ridges) for c in cycles) == len(poly.ridges)
             and len(covered) == len(poly.ridges)
+            and set(lengths) == {4}
         )
         report.add(
             "ridge cycles",
-            partition_ok,
+            cycles_ok,
             f"{len(cycles)} cycles, lengths {lengths}, ridges partitioned",
         )
         identity_ok = all(
@@ -396,13 +418,14 @@ def validate(code_text: str) -> ValidationReport:
 
         orbits = edge_classes(pairings, poly)
         sizes = sorted(len(o) for o in orbits)
-        orbit_ok = sum(sizes) == len(poly.edge_faces)
+        # The link of a right-angled edge is the 8 octants of a 3-ball.
+        orbit_ok = sum(sizes) == len(poly.edge_faces) and set(sizes) == {8}
         report.add(
             "edge-face orbits",
             orbit_ok,
             f"{len(orbits)} orbits (3-handles), sizes {sizes}",
         )
-        report.ok = partition_ok and identity_ok and eps_ok and orbit_ok
+        report.ok = cycles_ok and identity_ok and eps_ok and orbit_ok
     except ParseError:
         raise
     except CensusError as exc:

@@ -7,7 +7,8 @@ subcommand can render SVG panels (one panel, or all four plus the JSON
 document into a directory).
 
 Exit codes: 0 success, 1 domain error (invalid code, failed condition,
-failed trace step), 2 usage error (bad flags, malformed code text).
+failed trace step), 2 usage error (bad flags, malformed code text, a
+gluing letter that is not orientation reversing).
 """
 
 from __future__ import annotations
@@ -393,7 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
+    except (ParseError, cover_mod.GluingLetterError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except (CensusError, KirbyError, groups.GroupError, ValueError) as exc:

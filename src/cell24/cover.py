@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groups
-from .census import PoincareViolation, eps_of_word, moves_by_side
+from .census import GeometryError, PoincareViolation, eps_of_word, moves_by_side
 from .groups import double_cover_generator_names, free_reduce
 from .layout import LAYOUT, reflect_x
 from .moebius import MoebiusWord
@@ -65,9 +65,16 @@ class DoubleCover:
         return tuple(out)
 
 
+class GluingLetterError(ValueError):
+    """The requested gluing letter is not an orientation-reversing pairing
+    letter of the code."""
+
+
 def build_double_cover(pairings, eps, alpha: str = "g") -> DoubleCover:
     if eps.get(alpha) != -1:
-        raise ValueError("the gluing letter must be orientation reversing")
+        raise GluingLetterError(
+            f"the gluing letter must be orientation reversing, got {alpha!r}"
+        )
     inv = f"{alpha}⁻¹"
     by_letter = {p.letter: p for p in pairings}
     alpha_word = by_letter[alpha].word
@@ -128,7 +135,7 @@ def build_double_cover(pairings, eps, alpha: str = "g") -> DoubleCover:
         if p.rule == "wall":
             continue
         if eps_of_word(_name_as_base_word(p, alpha), eps) != 1:
-            raise AssertionError(f"cover pairing {p.name} is not orientation preserving")
+            raise GeometryError(f"cover pairing {p.name} is not orientation preserving")
     return cover
 
 
@@ -181,14 +188,18 @@ def _trace_cover(start, cover, base_moves, cover_moves, poly):
         sheet, base_label = active
         name, sign, image_active = cover_moves[active]
         mv = base_moves[base_label]
-        image_sphere = mv.word.gensphere(poly.sides[passive[1]].sphere)
-        partner = poly.side_of_sphere(image_sphere)
+        partner = mv.sides[passive[1]]
         if partner is None:
             raise PoincareViolation(
                 f"cover pairing {name} maps side {side_name(passive)} off "
                 "the side lattice"
             )
-        image_passive = (image_active[0], partner.label)
+        if not poly.adjacent(mv.image, partner):
+            raise PoincareViolation(
+                f"cover pairing {name} maps ridge {side_name(active)}"
+                f"∩{side_name(passive)} off the ridge lattice"
+            )
+        image_passive = (image_active[0], partner)
         arrows.append((name, sign))
         state = (image_passive, image_active)
         slots = (
@@ -206,6 +217,8 @@ def trace_cycle_from(start, cover: DoubleCover):
     """Trace one cover ridge cycle from an explicit (active, passive) pair of
     cover sides; returns (nodes, arrows) in printing order."""
     poly = build_polytope()
+    if not poly.adjacent(start[0][1], start[1][1]):
+        raise ValueError(f"start pair {start} is not a ridge")
     base_moves = moves_by_side(cover.base_pairings, poly)
     _states, nodes, arrows = _trace_cover(
         start, cover, base_moves, _cover_moves(cover), poly
@@ -300,12 +313,14 @@ def cover_edge_classes(cover: DoubleCover):
         face = poly.edge_face_by_vertices[verts]
         for side_label in sorted(face.sides, key=SIDE_INDEX.get):
             mv = base_moves[side_label]
-            image_verts = frozenset(mv.word.point(v) for v in verts)
-            if image_verts not in poly.edge_face_by_vertices:
+            ends = frozenset(mv.vertices[v] for v in face.ends)
+            image_face = poly.edge_face_at.get(ends)
+            if image_face is None:
                 raise PoincareViolation(
                     "cover pairing maps an edge face off the face lattice"
                 )
             flips = cover.eps[mv.letter] == -1
+            image_verts = poly.edge_faces[image_face].vertices
             image = (sheet ^ 1 if flips else sheet, image_verts)
             union(index[(sheet, verts)], index[image])
 

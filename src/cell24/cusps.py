@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import flat3
-from .census import PoincareViolation, eps_of_word, moves_by_side
+from .census import GeometryError, PoincareViolation, eps_of_word, moves_by_side
 from .groups import (
     free_reduce,
     word_from_str,
@@ -68,12 +68,12 @@ def _vertex_moves(v, moves, poly):
     out = []
     for side_label in sorted(poly.vertex_sides[v], key=SIDE_INDEX.get):
         mv = moves[side_label]
-        image = mv.word.point(v)
-        if image not in poly.vertex_sides:
+        image = mv.vertices[poly.vertex_index[v]]
+        if image is None:
             raise PoincareViolation(
                 f"pairing {mv.letter} maps vertex {v} off the vertex set"
             )
-        out.append((mv.letter, mv.sign, mv.word, image))
+        out.append((mv.letter, mv.sign, mv.word, poly.vertices[image]))
     return out
 
 
@@ -111,8 +111,9 @@ def vertex_classes(pairings):
     classes.sort(key=lambda c: c.representative, reverse=True)
     for c in classes:
         for v, w in c.tree_words.items():
-            if word_moebius(w, pairings).point(v) != c.representative:
-                raise AssertionError("tree word fails to reach the representative")
+            image = poly.vertex_image(word_moebius(w, pairings).lorentz(), v)
+            if image != c.representative:
+                raise GeometryError("tree word fails to reach the representative")
     return classes
 
 
@@ -145,14 +146,15 @@ def stabilizer_generators(cusp: CuspClass, pairings) -> CuspStabilizer:
             if not loop or loop in seen_words or word_inverse(loop) in seen_words:
                 continue
             moebius = word_moebius(loop, pairings)
-            if moebius.point(cusp.representative) != cusp.representative:
-                raise AssertionError(
+            rep = cusp.representative
+            if poly.vertex_image(moebius.lorentz(), rep) != rep:
+                raise GeometryError(
                     f"stabilizer loop {word_str(loop)} moves the representative"
                 )
             seen_words.add(loop)
             generators.append((loop, moebius))
     if not generators:
-        raise AssertionError("every cusp class must have stabilizer generators")
+        raise GeometryError("every cusp class must have stabilizer generators")
     return CuspStabilizer(cusp=cusp, generators=tuple(generators))
 
 
@@ -236,7 +238,7 @@ def cusp_invariants(stab: CuspStabilizer, pairings, eps) -> CuspInvariants:
         affines.append((q, t))
         char = eps_of_word(word, eps)
         if char != _det3_sign(q):
-            raise AssertionError("orientation character disagrees with det Q")
+            raise GeometryError("orientation character disagrees with det Q")
         if char == -1:
             orientable = False
 
@@ -263,12 +265,12 @@ def cusp_invariants(stab: CuspStabilizer, pairings, eps) -> CuspInvariants:
             back = reps[prod[0]]
             ker = flat3.affine_mul(prod, flat3.affine_inverse(back))
             if ker[0] != flat3.I3:
-                raise AssertionError("Schreier element is not a translation")
+                raise GeometryError("Schreier element is not a translation")
             if any(x != 0 for x in ker[1]):
                 vectors.append(ker[1])
     basis = flat3.integer_row_basis(vectors)
     if len(basis) != 3:
-        raise AssertionError("cusp translation lattice must have rank 3")
+        raise GeometryError("cusp translation lattice must have rank 3")
     binv = flat3.mat_inverse(tuple(tuple(b[i] for b in basis) for i in range(3)))
 
     def to_lattice(v):
@@ -283,7 +285,7 @@ def cusp_invariants(stab: CuspStabilizer, pairings, eps) -> CuspInvariants:
             for x in row:
                 fx = Fraction(x)
                 if fx.denominator != 1:
-                    raise AssertionError("holonomy does not preserve the lattice")
+                    raise GeometryError("holonomy does not preserve the lattice")
                 r.append(int(fx))
             result.append(tuple(r))
         return tuple(result)
@@ -327,7 +329,7 @@ def _minimal_point_group_data(phi, reps):
         nontrivial = [m for m in elems if m != flat3.I3]
         a, b = nontrivial[0], nontrivial[1]
         return [a, b], [reps[a], reps[b]]
-    raise AssertionError("unexpected cusp point group structure")
+    raise GeometryError("unexpected cusp point group structure")
 
 
 def _det3_sign(q):
@@ -340,7 +342,7 @@ def _det3_sign(q):
         return 1
     if d < 0:
         return -1
-    raise AssertionError("singular linear part")
+    raise GeometryError("singular linear part")
 
 
 # Published filling words for the reference code 146928, keyed by class

@@ -116,9 +116,6 @@ class Presentation:
         rels = ", ".join(word_str(r) for r in self.relators)
         return f"gens: {gens} ; rels: {rels}"
 
-    def summary(self) -> str:
-        return f"{len(self.generators)} generators, {len(self.relators)} relators"
-
 
 def add_relations(p: Presentation, words) -> Presentation:
     return Presentation(p.generators, p.relators + tuple(tuple(w) for w in words))

@@ -23,8 +23,6 @@ from .exact import QS2
 from .layout import LAYOUT, REFLECT_X_CENTER
 from .polytope import SIDE_INDEX
 
-LayoutTable = LAYOUT
-
 PANELS = ("xy", "xz", "yz", "off")
 
 

@@ -5,6 +5,15 @@ generated by inversions in spheres, reflections in hyperplanes, and
 sign-diagonal linear maps.  All of these are involutions, so a word is
 inverted by reversing its atom sequence.
 
+A map that preserves the unit ball is also an exact Lorentz matrix in
+O+(4,1) acting on R^5 with the form J = diag(1, 1, 1, 1, -1) (the
+hyperboloid model).  The ideal point v of S^3 is the light ray of (v, 1),
+and inversion in a sphere with centre c and radius r orthogonal to S^3
+(|c|^2 = 1 + r^2) is the reflection R = I - 2 n n^T J / <n, n> in the
+spacelike vector n = (c, 1).  This correspondence is a group isomorphism,
+so a word is the identity exactly when its matrix is I.  Every side pairing
+of the ideal 24-cell has an integer matrix.
+
 Convention (fixed once, used everywhere): words act on the left, the atom
 sequence is applied right-to-left, i.e. ``MoebiusWord((f, g))`` is the map
 f o g.
@@ -14,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property, reduce
+from math import gcd, lcm
 
 from .exact import rat_rank, rat_solve, rat_str
 
@@ -58,6 +68,55 @@ def vscale(c, v: Vec) -> Vec:
 
 def vec_str(v: Vec) -> str:
     return "(" + ",".join(rat_str(c) for c in v) + ")"
+
+
+# ---------------------------------------------------------------------------
+# Lorentz matrices: 5x5 tuples of ints (Fractions only where not integral)
+# ---------------------------------------------------------------------------
+
+LORENTZ_FORM = (1, 1, 1, 1, -1)  # the diagonal of J
+LORENTZ_IDENTITY = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+
+
+def lorentz_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3] - u[4] * v[4]
+
+
+def lorentz_apply(m, v):
+    v0, v1, v2, v3, v4 = v
+    return tuple([
+        r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4
+        for r0, r1, r2, r3, r4 in m
+    ])
+
+
+def lorentz_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple([
+        tuple([
+            r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4
+            for c0, c1, c2, c3, c4 in cols
+        ])
+        for r0, r1, r2, r3, r4 in a
+    ])
+
+
+def _reflection(n):
+    """I - 2 n n^T J / <n, n>: the Lorentz reflection in the spacelike
+    rational vector n, with integer entries wherever they are integral."""
+    scale = lcm(*(Fraction(x).denominator for x in n))
+    n = tuple(int(x * scale) for x in n)
+    q = lorentz_dot(n, n)
+    if q <= 0:
+        raise ValueError("reflection vector must be spacelike")
+    rows = []
+    for i in range(5):
+        row = []
+        for j in range(5):
+            num = (q if i == j else 0) - 2 * n[i] * n[j] * LORENTZ_FORM[j]
+            row.append(num // q if num % q == 0 else Fraction(num, q))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -153,6 +212,15 @@ class Inversion:
         f = r2 / (2 * h)
         return Sphere(vadd(a, vscale(f, s.normal)), f * f * vdot(s.normal, s.normal))
 
+    @cached_property
+    def matrix(self):
+        """Lorentz matrix: the reflection in (c, 1).  Only spheres orthogonal
+        to S^3 preserve the ball."""
+        c = self.sphere.center
+        if vdot(c, c) != 1 + self.sphere.radius_sq:
+            raise ValueError("inversion sphere is not orthogonal to S^3")
+        return _reflection(tuple(c) + (1,))
+
     def __str__(self):
         return f"Inv[{vec_str(self.sphere.center)};{rat_str(self.sphere.radius_sq)}]"
 
@@ -180,6 +248,14 @@ class SignFlip:
             return Sphere(self._flip(s.center), s.radius_sq)
         return Plane(self._flip(s.normal), s.offset)
 
+    @cached_property
+    def matrix(self):
+        """Lorentz matrix: diag(signs, 1)."""
+        diag = tuple(self.signs) + (1,)
+        return tuple(
+            tuple(diag[i] if i == j else 0 for j in range(5)) for i in range(5)
+        )
+
     def __str__(self):
         return "Diag[" + "".join("+" if s == 1 else "-" for s in self.signs) + "]"
 
@@ -204,6 +280,14 @@ class PlaneReflect:
         p0 = vscale(s.offset / vdot(s.normal, s.normal), s.normal)
         return Plane(nn, vdot(self.point(p0), nn))
 
+    @cached_property
+    def matrix(self):
+        """Lorentz matrix: the reflection in (normal, 0).  Only planes
+        through the origin preserve the ball."""
+        if self.plane.offset != 0:
+            raise ValueError("reflection plane does not pass through the origin")
+        return _reflection(tuple(self.plane.normal) + (0,))
+
     def __str__(self):
         return f"Refl[{vec_str(self.plane.normal)}={rat_str(self.plane.offset)}]"
 
@@ -216,10 +300,11 @@ class PlaneReflect:
 class MoebiusWord:
     """Composable sequence of atomic maps, applied right-to-left."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_lorentz")
 
     def __init__(self, atoms=()):
         object.__setattr__(self, "atoms", tuple(atoms))
+        object.__setattr__(self, "_lorentz", None)
 
     def __setattr__(self, *args):
         raise AttributeError("MoebiusWord is immutable")
@@ -250,10 +335,21 @@ class MoebiusWord:
             s = atom.gensphere(s)
         return s
 
+    def lorentz(self):
+        """The exact Lorentz matrix of the word: the product of its atoms'
+        matrices, computed once per word.  Raises ValueError when an atom
+        does not preserve the ball."""
+        m = self._lorentz
+        if m is None:
+            matrices = [atom.matrix for atom in self.atoms] or [LORENTZ_IDENTITY]
+            m = reduce(lorentz_mul, matrices)
+            object.__setattr__(self, "_lorentz", m)
+        return m
+
     def is_identity(self) -> bool:
-        """True iff the word fixes the 6-point certificate (hence is the
-        identity transformation; see CERTIFICATE below)."""
-        return all(self.point(p) == p for p in CERTIFICATE)
+        """True iff the word is the identity map, i.e. its Lorentz matrix
+        is I."""
+        return self.lorentz() == LORENTZ_IDENTITY
 
     def __str__(self):
         if not self.atoms:
@@ -265,40 +361,6 @@ class MoebiusWord:
 
 
 IDENTITY = MoebiusWord(())
-
-
-# ---------------------------------------------------------------------------
-# Identity certificate
-# ---------------------------------------------------------------------------
-#
-# Six rational points of S^3 that lie on no common 2-sphere.  A ball-preserving
-# Moebius transformation fixing all six is the identity: conjugating the first
-# fixed point to infinity leaves a Euclidean similarity of the image hyperplane
-# fixing four affinely independent points, which forces the identity on the
-# plane, and preservation of the half-space rules out the normal reflection.
-# The no-common-2-sphere condition is exactly rank([v | -1]) = 5, checked once
-# at import time.
-
-CERTIFICATE = (
-    vec(1, 0, 0, 0),
-    vec(0, 1, 0, 0),
-    vec(0, 0, 1, 0),
-    vec(0, 0, 0, 1),
-    vec(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
-    vec(Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2)),
-)
-
-
-def _validate_certificate():
-    rows = [list(p) + [Fraction(-1)] for p in CERTIFICATE]
-    if rat_rank(rows) != 5:
-        raise AssertionError("identity certificate points lie on a 2-sphere")
-    for p in CERTIFICATE:
-        if vdot(p, p) != 1:
-            raise AssertionError("certificate points must lie on S^3")
-
-
-_validate_certificate()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ is a lattice vector of squared norm 2 (the orthogonality identity
 vertices lie on S^3: the 8 unit vectors +-e_i and the 16 half-integer points
 (+-1/2, +-1/2, +-1/2, +-1/2).  A vertex v lies on the side with centre c
 exactly when v . c = 1.
+
+In the hyperboloid model (see moebius) the side with centre c is the
+integer spacelike vector (c, 1) and the ideal vertex v is the light ray of
+the primitive integer vector of (2v, 2), so a side pairing's Lorentz matrix
+acts on sides and vertices by integer lookups.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .moebius import Sphere, vdot, vec
+from .moebius import Sphere, lorentz_apply, vdot, vec
 
 # Side labels in table order.  The primed side of each letter pair is the
 # image of the unprimed one under the reference pairing code (146928), which
@@ -77,6 +83,7 @@ class EdgeFace:
 
     vertices: frozenset  # two ideal vertices
     sides: frozenset     # the side labels containing both
+    ends: tuple          # indices of the two vertices, ascending
 
 
 class Polytope24:
@@ -124,62 +131,83 @@ class Polytope24:
         self.ridge_by_sides = {r.sides: r for r in self.ridges}
 
         faces = []
-        for va, vb in itertools.combinations(self.vertices, 2):
+        for (ia, va), (ib, vb) in itertools.combinations(enumerate(self.vertices), 2):
             common = self.vertex_sides[va] & self.vertex_sides[vb]
             if len(common) >= 3:
-                faces.append(EdgeFace(frozenset((va, vb)), common))
+                faces.append(EdgeFace(frozenset((va, vb)), common, (ia, ib)))
         self.edge_faces = tuple(faces)
         self.edge_face_by_vertices = {f.vertices: f for f in self.edge_faces}
+        self.edge_face_at = {frozenset(f.ends): i for i, f in enumerate(faces)}
 
-        self._sphere_to_side = {s.sphere: s for s in self.sides.values()}
+        self.neighbours = {lab: set() for lab in SIDE_ORDER}
+        for r in self.ridges:
+            la, lb = r.sides
+            self.neighbours[la].add(lb)
+            self.neighbours[lb].add(la)
 
-    def side_of_sphere(self, gensphere):
-        """The side whose sphere equals the given one, or None.
+        self.side_vectors = {
+            lab: tuple(int(x) for x in s.center) + (1,)
+            for lab, s in self.sides.items()
+        }
+        self._side_by_vector = {w: lab for lab, w in self.side_vectors.items()}
+        self.vertex_vectors = tuple(
+            _primitive(tuple(int(2 * x) for x in v) + (2,)) for v in self.vertices
+        )
+        self._vertex_by_vector = {w: i for i, w in enumerate(self.vertex_vectors)}
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self.side_vertex_indices = {
+            lab: tuple(self.vertex_index[v] for v in vs)
+            for lab, vs in self.side_vertices.items()
+        }
 
-        A miss during cycle tracing signals a failed side-pairing condition
-        for the code under test.
+    def side_of_vector(self, w):
+        """Label of the side whose Lorentz vector is +-w, or None.
+
+        A Lorentz matrix sends the side sphere (c, 1) to the sphere of its
+        image vector; a miss means that sphere is not a side (a plane, or a
+        sphere of another centre or radius).
         """
-        if not isinstance(gensphere, Sphere):
-            return None
-        return self._sphere_to_side.get(gensphere)
+        if w[4] < 0:
+            w = tuple(-x for x in w)
+        return self._side_by_vector.get(w)
+
+    def vertex_of_vector(self, w):
+        """Index of the ideal vertex on the light ray of the integer vector
+        w, or None."""
+        return self._vertex_by_vector.get(_primitive(w))
+
+    def side_image(self, matrix, label):
+        """Label of the side an integer Lorentz matrix carries side
+        ``label`` onto, or None."""
+        return self.side_of_vector(lorentz_apply(matrix, self.side_vectors[label]))
+
+    def vertex_image(self, matrix, v):
+        """The ideal vertex an integer Lorentz matrix carries vertex v to,
+        or None."""
+        w = lorentz_apply(matrix, self.vertex_vectors[self.vertex_index[v]])
+        i = self.vertex_of_vector(w)
+        return None if i is None else self.vertices[i]
+
+    def action(self, label, matrix):
+        """Exact action of an integer Lorentz matrix on the faces at side
+        ``label``: (sides, vertices), where ``sides`` maps each side meeting
+        it in a ridge to its image side label and ``vertices`` each index of
+        an ideal vertex on it to the index of its image; None marks an image
+        that is not a side or not a vertex."""
+        sides = {nb: self.side_image(matrix, nb) for nb in self.neighbours[label]}
+        vertices = {
+            i: self.vertex_of_vector(lorentz_apply(matrix, self.vertex_vectors[i]))
+            for i in self.side_vertex_indices[label]
+        }
+        return sides, vertices
 
     def adjacent(self, la: str, lb: str) -> bool:
-        return vdot(self.sides[la].center, self.sides[lb].center) == 1
+        return lb in self.neighbours[la]
 
-    def incidence_summary(self):
-        return {
-            "sides": len(self.sides),
-            "vertices": len(self.vertices),
-            "ridges": len(self.ridges),
-            "edge_faces": len(self.edge_faces),
-        }
 
-    def incidence_json(self):
-        """Debug dump of the full incidence structure (JSON-serialisable)."""
-
-        def v_str(v):
-            return "(" + ",".join(str(x) for x in v) + ")"
-
-        return {
-            "sides": {
-                lab: [v_str(v) for v in self.side_vertices[lab]]
-                for lab in SIDE_ORDER
-            },
-            "ridges": [
-                {
-                    "sides": sorted(r.sides, key=SIDE_INDEX.get),
-                    "vertices": [v_str(v) for v in r.vertices],
-                }
-                for r in self.ridges
-            ],
-            "edge_faces": [
-                {
-                    "sides": sorted(f.sides, key=SIDE_INDEX.get),
-                    "vertices": sorted(v_str(v) for v in f.vertices),
-                }
-                for f in self.edge_faces
-            ],
-        }
+def _primitive(w):
+    g = gcd(*w)
+    return tuple(x // g for x in w)
 
 
 @lru_cache(maxsize=1)

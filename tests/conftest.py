@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -46,3 +47,21 @@ def cusp_classes(pairings):
 @pytest.fixture(scope="session")
 def stabilizers(pairings, cusp_classes):
     return [cusps.stabilizer_generators(c, pairings) for c in cusp_classes]
+
+
+@pytest.fixture(scope="session")
+def sample_codes():
+    """300 distinct pairing-valid codes drawn with a fixed seed.
+
+    A digit gives its family two pairing sources exactly when its lowest set
+    bit lies in the family's support.
+    """
+    digit_sets = [
+        [f"{d:x}" for d in range(1, 16) if (d & -d).bit_length() - 1 in support]
+        for _letters, support in census.FAMILIES
+    ]
+    rng = random.Random(20240)
+    codes = {}
+    while len(codes) < 300:
+        codes["".join(rng.choice(ds) for ds in digit_sets)] = None
+    return list(codes)

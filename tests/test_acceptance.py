@@ -67,7 +67,7 @@ def test_criterion_03_poincare_certificate(
     for c in cover_cycles:
         assert cover.cover_moebius_word(c.relator, double_cover).is_identity()
     report(3, "all 24 base and 48 cover relators certify as the identity "
-              "on the 6-point certificate")
+              "by their integer Lorentz matrices")
 
 
 def test_criterion_04_orientation(eps, cycles):

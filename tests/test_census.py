@@ -155,3 +155,48 @@ def test_corrupted_pairing_detected(pairings):
     broken[0] = dataclasses.replace(broken[0], word=broken[2].word)
     with pytest.raises(PoincareViolation):
         census.ridge_cycles(broken)
+
+
+def test_validate_means_manifold():
+    # a5e164 passes every other check, but two of its edge-face orbits have
+    # 4 faces: the edge links are not 3-balls.
+    report = census.validate("a5e164")
+    assert not report.ok
+    failed = [(name, detail) for name, passed, detail in report.checks if not passed]
+    sizes = [4, 4] + [8] * 11
+    assert failed == [("edge-face orbits", f"13 orbits (3-handles), sizes {sizes}")]
+    for code in ("146928", "ef276c"):
+        report = census.validate(code)
+        assert report.ok, report.render()
+        assert report.cycle_lengths == {4: 24}
+
+
+def test_seeded_census_sweep(sample_codes):
+    poly = build_polytope()
+    ridges = {r.sides for r in poly.ridges}
+    faces = {f.vertices for f in poly.edge_faces}
+    manifolds = 0
+    for code in sample_codes:
+        pairings = census.build_pairings(census.parse_code(code), poly)
+        eps = census.orientation_character(pairings)
+        cycles = census.ridge_cycles(pairings, poly)
+        visited = [r for c in cycles for r in c.ridges]
+        assert len(visited) == len(ridges) and set(visited) == ridges
+        orbits = census.edge_classes(pairings, poly)
+        members = [f for orbit in orbits for f in orbit]
+        assert len(members) == len(faces) and set(members) == faces
+        identities = []
+        for c in cycles:
+            identity = census.cycle_moebius_word(c, pairings).is_identity()
+            if identity:
+                assert len(c) % 4 == 0 and census.eps_of_word(c.relator, eps) == 1
+            identities.append(identity)
+        manifold = (
+            all(identities)
+            and all(len(c) == 4 for c in cycles)
+            and all(len(orbit) == 8 for orbit in orbits)
+        )
+        assert census.validate(code).ok == manifold, code
+        manifolds += manifold
+    # The sample holds both outcomes.
+    assert 0 < manifolds < len(sample_codes)

@@ -147,3 +147,25 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["cycles"])  # missing code
     assert exc.value.code == 2
+
+
+def test_validate_rejects_non_manifold(capsys):
+    code, out, _ = run(capsys, "validate", "a5e164")
+    assert code == 1
+    assert "[FAIL] edge-face orbits" in out
+
+
+def test_cusp_geometry_error_is_a_domain_error(capsys):
+    # eca824 is not a manifold; its cusp point groups have no supported
+    # structure, which must end in a one-line error, not a traceback.
+    code, out, err = run(capsys, "cusps", "eca824")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unexpected cusp point group structure\n"
+
+
+def test_cover_non_reversing_alpha_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "cover", "146928", "--alpha", "a")
+    assert code == 2
+    assert err.startswith("usage error: the gluing letter must be orientation reversing")
+    assert run(capsys, "cover", "146928", "--alpha", "z")[0] == 2

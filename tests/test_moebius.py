@@ -102,7 +102,7 @@ def test_is_identity_basics(pairings):
 
 def test_cycle_relator_identity_with_vertex_oracle(pairings, cycles):
     # The first cycle's composed word fixes all 24 ideal vertices, an
-    # independent check of the 6-point certificate.
+    # independent check of the Lorentz-matrix certificate.
     poly = build_polytope()
     word = census.cycle_moebius_word(cycles[0], pairings)
     assert all(word.point(v) == v for v in poly.vertices)

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from cell24.moebius import Sphere, vdot, vec
+from cell24.moebius import vdot, vec
 from cell24.polytope import SIDE_ORDER, build_polytope
 
 
@@ -56,10 +56,18 @@ def test_face_shapes():
 
 
 def test_side_of_sphere():
+    # A sphere orthogonal to S^3 with centre c and radius r is the Lorentz
+    # vector (c, 1)/r, up to sign.
     poly = build_polytope()
-    assert poly.side_of_sphere(Sphere(vec(-1, 0, 1, 0), Fraction(1))).label == "D"
-    assert poly.side_of_sphere(Sphere(vec(0, 0, 0, 0), Fraction(1))) is None
-    assert poly.side_of_sphere(Sphere(vec(1, 1, 0, 0), Fraction(4))) is None
+    assert poly.side_of_vector((-1, 0, 1, 0, 1)) == "D"
+    assert poly.side_of_vector((1, 0, -1, 0, -1)) == "D"
+    # centre 0, radius 1: S^3 itself, a timelike vector
+    assert poly.side_of_vector((0, 0, 0, 0, 1)) is None
+    # centre (1,1,0,0), radius 2
+    half = Fraction(1, 2)
+    assert poly.side_of_vector((half, half, 0, 0, half)) is None
+    for side in poly.sides.values():
+        assert poly.side_of_vector(tuple(side.center) + (1,)) == side.label
 
 
 def test_orthogonality_normalisation():
