@@ -7,11 +7,18 @@ k is -1 exactly when bit (j-1) of d is set (coordinate 1 is the least
 significant bit).  This bit order is pinned by requiring the decoded vectors
 of the reference code 146928 to reproduce the published pairing display; a
 regression test enforces it.
+
+Ridge cycles (2-handles) and edge-face orbits (3-handles) come from one
+engine over a sheeted domain (``Domain``): the code's polytope is its
+one-sheet case, and cover builds the two-sheet orientable double cover.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import prod
 
 from . import groups
 from .moebius import Inversion, MoebiusWord, SignFlip
@@ -79,10 +86,7 @@ def parse_code(text: str):
 
 
 def print_code(kvecs) -> str:
-    digits = []
-    for k in kvecs:
-        digits.append(sum(1 << j for j in range(4) if k[j] == -1))
-    return "".join(f"{d:x}" for d in digits)
+    return "".join(f"{sum(1 << j for j in range(4) if k[j] == -1):x}" for k in kvecs)
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,10 @@ class SidePairing:
     target: Side
     kpart: tuple
     word: MoebiusWord
+
+    @property
+    def name(self) -> str:
+        return self.letter
 
 
 def pairing_word(target: Side, kpart) -> MoebiusWord:
@@ -140,18 +148,11 @@ def orientation_character(pairings) -> dict:
     """letter -> +1/-1.  The reflection part of a pairing reverses
     orientation, so the pairing preserves it iff its k-part has an odd
     number of -1 entries."""
-    eps = {}
-    for p in pairings:
-        minus = sum(1 for s in p.kpart if s == -1)
-        eps[p.letter] = 1 if minus % 2 == 1 else -1
-    return eps
+    return {p.letter: 1 if p.kpart.count(-1) % 2 == 1 else -1 for p in pairings}
 
 
 def eps_of_word(word, eps) -> int:
-    value = 1
-    for sym, _sign in word:
-        value *= eps[sym]
-    return value
+    return prod(eps[sym] for sym, _sign in word)
 
 
 @dataclass(frozen=True)
@@ -189,130 +190,218 @@ def moves_by_side(pairings, polytope: Polytope24 | None = None):
     return moves
 
 
+def side_name(side) -> str:
+    """Printed name of a formal side (sheet, label): sheet 1 adds a '-'."""
+    sheet, label = side
+    return label if sheet == 0 else label + "-"
+
+
+@dataclass(frozen=True)
+class Domain:
+    """A fundamental domain made of sheets (copies) of the 24-cell.
+
+    Formal sides are (sheet, label).  ``pairs`` lists the side pairings as
+    (name, source, target).  ``steps`` maps every formal side to the move
+    leaving it, (name, sign, image side, Move), where Move is the base move
+    at the side's label: a pairing acts on the faces at its side the same
+    way on every sheet, and flips the sheet exactly when it reverses
+    orientation.  ``wall`` names the trivial pairing that glues two sheets
+    together; relators drop it.  The code's own polytope is the one-sheet
+    case (``base_domain``).
+    """
+
+    pairs: tuple
+    steps: dict
+    wall: str | None = None
+
+    @property
+    def sheets(self) -> int:
+        return len(self.steps) // len(SIDE_INDEX)
+
+
+def sheeted_domain(pairs, moves, wall=None) -> Domain:
+    """Domain of the pairings (name, source, target), given the base moves
+    by side label."""
+    steps = {}
+    for name, source, target in pairs:
+        steps[source] = (name, 1, target, moves[source[1]])
+        steps[target] = (name, -1, source, moves[target[1]])
+    return Domain(tuple(pairs), steps, wall)
+
+
+def base_domain(pairings, polytope: Polytope24 | None = None) -> Domain:
+    poly = polytope or build_polytope()
+    pairs = [(p.letter, (0, p.source.label), (0, p.target.label)) for p in pairings]
+    return sheeted_domain(pairs, moves_by_side(pairings, poly))
+
+
 @dataclass(frozen=True)
 class RidgeCycle:
     """One ridge cycle in canonical traversal form.
 
     nodes[i] is the printable ordered side pair at step i (positional slots
-    carried along from the start), arrows[i] the signed generator applied
+    carried along from the start), arrows[i] the signed pairing applied
     there; the relator is the arrows composed under the left-action
-    convention (last arrow leftmost).
+    convention (last arrow leftmost), without the wall pairing.  Sides are
+    labels on the code's polytope and (sheet, label) on a sheeted domain.
     """
 
-    nodes: tuple      # ((a, p), ...) side-label pairs, length = cycle length
-    arrows: tuple     # ((letter, sign), ...)
-    relator: tuple    # Word: ((letter, sign), ...)
+    nodes: tuple      # ((a, p), ...) side pairs, length = cycle length
+    arrows: tuple     # ((name, sign), ...)
+    relator: tuple    # Word: ((name, sign), ...)
     ridges: frozenset # the unordered ridges visited
 
     def __len__(self):
         return len(self.arrows)
 
 
-def _state_key(state):
-    return (SIDE_INDEX[state[0]], SIDE_INDEX[state[1]])
+@lru_cache(maxsize=None)
+def _ridge_states(poly: Polytope24, sheets: int):
+    """Every (active, passive) state of every formal ridge, sorted by
+    (sheet, SIDE_INDEX) of the active side, then of the passive side."""
+    return tuple(
+        ((sheet, a), (sheet, b))
+        for sheet in range(sheets)
+        for a in SIDE_INDEX
+        for b in sorted(poly.neighbours[a], key=SIDE_INDEX.get)
+    )
 
 
-def _trace(start, moves, poly):
+def _trace(start, steps, poly):
     """Follow the traversal from (active, passive) until it closes.
 
     Returns (states, nodes, arrows).  states[i] is the (active, passive)
     state before arrow i; nodes track the positional printing slots.
     """
-    states = []
-    nodes = []
-    arrows = []
-    state = start
-    slots = start
+    states, nodes, arrows = [], [], []
+    state = slots = start
     while True:
         states.append(state)
         nodes.append(slots)
         active, passive = state
-        mv = moves[active]
-        partner = mv.sides[passive]
+        name, sign, image, mv = steps[active]
+        partner = mv.sides[passive[1]]
         if partner is None:
             raise PoincareViolation(
-                f"pairing {mv.letter} maps side {passive} off the side lattice"
+                f"pairing {name} maps side {passive[1]} off the side lattice"
             )
-        if not poly.adjacent(mv.image, partner):
-            raise PoincareViolation(
-                f"image pair {mv.image},{partner} is not a ridge"
-            )
-        arrows.append((mv.letter, mv.sign))
-        state = (partner, mv.image)
+        if not poly.adjacent(image[1], partner):
+            raise PoincareViolation(f"image pair {image[1]},{partner} is not a ridge")
+        partner = (image[0], partner)
+        arrows.append((name, sign))
+        state = (partner, image)
         slots = (
-            mv.image if slots[0] == active else partner,
-            partner if slots[1] == passive else mv.image,
+            image if slots[0] == active else partner,
+            partner if slots[1] == passive else image,
         )
         if state == start:
             break
-        if len(states) > 192:
+        if len(states) > 8 * len(steps):
             raise PoincareViolation("ridge traversal failed to close")
-    return tuple(states), tuple(nodes), tuple(arrows)
+    return states, nodes, arrows
 
 
-def trace_cycle_from(start, pairings, polytope: Polytope24 | None = None):
-    """Trace one ridge cycle from an explicit (active, passive) side pair;
-    returns (nodes, arrows) in printing order."""
+def trace_cycle_from(start, domain: Domain, polytope: Polytope24 | None = None):
+    """Trace one ridge cycle of a domain from an explicit (active, passive)
+    pair of formal sides; returns (nodes, arrows) in printing order."""
     poly = polytope or build_polytope()
-    if not poly.adjacent(*start):
+    (sheet_a, a), (sheet_p, p) = start
+    if sheet_a != sheet_p or not poly.adjacent(a, p):
         raise ValueError(f"start pair {start} is not a ridge")
-    _states, nodes, arrows = _trace(start, moves_by_side(pairings, poly), poly)
-    return nodes, arrows
+    _states, nodes, arrows = _trace(start, domain.steps, poly)
+    return tuple(nodes), tuple(arrows)
+
+
+def _canonical_traces(domain: Domain, poly):
+    """Each ridge cycle traced once, from its canonical start, in order.
+
+    Canonical start: the least state among the cycle's states and its
+    reverse's.  The reverse traversal visits exactly the swapped states
+    (the move leaving an image side is the inverse move), so scanning the
+    sorted states and skipping every state seen in either direction meets
+    each cycle first at its canonical start.
+    """
+    seen = set()
+    traces = []
+    for start in _ridge_states(poly, domain.sheets):
+        if start in seen:
+            continue
+        trace = _trace(start, domain.steps, poly)
+        seen.update(trace[0])
+        seen.update((p, a) for a, p in trace[0])
+        traces.append(trace)
+    return traces
+
+
+def _ridge_cycle(states, nodes, arrows, wall=None) -> RidgeCycle:
+    relator = groups.free_reduce(tuple(a for a in reversed(arrows) if a[0] != wall))
+    ridges = frozenset(frozenset(s) for s in states)
+    return RidgeCycle(tuple(nodes), tuple(arrows), relator, ridges)
+
+
+def domain_cycles(domain: Domain, polytope: Polytope24 | None = None):
+    """All ridge cycles of a domain, canonical and sorted by start state."""
+    poly = polytope or build_polytope()
+    return [
+        _ridge_cycle(states, nodes, arrows, domain.wall)
+        for states, nodes, arrows in _canonical_traces(domain, poly)
+    ]
+
+
+def _labels(states):
+    return [(a[1], p[1]) for a, p in states]
 
 
 def ridge_cycles(pairings, polytope: Polytope24 | None = None):
-    """All ridge cycles of the code, deduplicated and canonicalised.
-
-    Canonical form: among every traversal state of the cycle and of its
-    reverse, start from the lexicographically least (active, passive) pair.
-    Cycles are returned sorted by that start state, which reproduces the
-    published row order for 146928.
-    """
+    """The code's ridge cycles, over side labels; sorted by start state,
+    which reproduces the published row order for 146928."""
     poly = polytope or build_polytope()
-    moves = moves_by_side(pairings, poly)
-    seen_states = set()
-    cycles_by_ridges = {}
-    all_states = []
-    for ridge in poly.ridges:
-        a, b = sorted(ridge.sides, key=SIDE_INDEX.get)
-        all_states.extend([(a, b), (b, a)])
-    for start in sorted(all_states, key=_state_key):
-        if start in seen_states:
-            continue
-        states, _nodes, _arrows = _trace(start, moves, poly)
-        seen_states.update(states)
-        ridge_set = frozenset(frozenset(s) for s in states)
-        cycles_by_ridges.setdefault(ridge_set, []).extend(states)
-    cycles = []
-    for ridge_set, states in cycles_by_ridges.items():
-        start = min(states, key=_state_key)
-        states, nodes, arrows = _trace(start, moves, poly)
-        relator = groups.free_reduce(tuple(reversed(arrows)))
-        cycles.append(RidgeCycle(nodes, arrows, relator, ridge_set))
-    cycles.sort(key=lambda c: _state_key(c.nodes[0]))
-    return cycles
+    return [
+        _ridge_cycle(_labels(states), _labels(nodes), arrows)
+        for states, nodes, arrows in _canonical_traces(base_domain(pairings, poly), poly)
+    ]
+
+
+def word_isometry(word, pairings) -> MoebiusWord:
+    """The isometry of a word over pairing names (SidePairing or cover
+    pairings), composed under the left-action convention."""
+    by_name = {p.name: p.word for p in pairings}
+    out = MoebiusWord(())
+    for sym, sign in word:
+        w = by_name[sym]
+        out = out * (w if sign == 1 else w.inverse())
+    return out
 
 
 def cycle_moebius_word(cycle: RidgeCycle, pairings) -> MoebiusWord:
-    by_letter = {p.letter: p.word for p in pairings}
-    word = MoebiusWord(())
-    for letter, sign in cycle.relator:
-        w = by_letter[letter]
-        word = word * (w if sign == 1 else w.inverse())
-    return word
+    return word_isometry(cycle.relator, pairings)
 
 
-def edge_classes(pairings, polytope: Polytope24 | None = None):
-    """Orbits of the 96 codimension-3 faces under the pairing groupoid.
+@lru_cache(maxsize=None)
+def _face_plan(poly: Polytope24):
+    """Edge-face indices by ascending sorted vertex pair, and the indices
+    of the faces on each side."""
+    faces = poly.edge_faces
+    order = tuple(sorted(range(len(faces)), key=lambda i: sorted(faces[i].vertices)))
+    on_side = {
+        label: tuple(i for i, f in enumerate(faces) if label in f.sides)
+        for label in SIDE_INDEX
+    }
+    return order, on_side
 
-    Each orbit contributes one 3-handle.  Orbits are returned as tuples of
-    EdgeFace keys (vertex pairs), each in ascending order of its sorted
-    vertex pair, and ordered by their least member.
+
+def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
+    """Orbits of the formal codimension-3 faces (sheet, vertex pair) under
+    the domain's pairings; each orbit contributes one 3-handle.
+
+    Members ascend by (sheet, sorted vertex pair) and orbits are ordered by
+    their least member.
     """
     poly = polytope or build_polytope()
-    moves = moves_by_side(pairings, poly)
     faces = poly.edge_faces
-    parent = list(range(len(faces)))
+    n = len(faces)
+    order, on_side = _face_plan(poly)
+    parent = list(range(n * domain.sheets))
 
     def find(x):
         while parent[x] != x:
@@ -320,28 +409,32 @@ def edge_classes(pairings, polytope: Polytope24 | None = None):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for i, face in enumerate(faces):
-        for side_label in sorted(face.sides, key=SIDE_INDEX.get):
-            mv = moves[side_label]
-            ends = frozenset(mv.vertices[v] for v in face.ends)
-            image = poly.edge_face_at.get(ends)
-            if image is None:
+    for (sheet, label), (name, _sign, image, mv) in domain.steps.items():
+        for i in on_side[label]:
+            j = poly.edge_face_at.get(frozenset(mv.vertices[v] for v in faces[i].ends))
+            if j is None:
                 raise PoincareViolation(
-                    f"pairing {mv.letter} maps an edge face off the face lattice"
+                    f"pairing {name} maps an edge face off the face lattice"
                 )
-            union(i, image)
+            rx, ry = find(sheet * n + i), find(image[0] * n + j)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
 
-    # Vertices are indexed in descending order, so sorting faces by their
-    # ascending vertex pairs sorts their reversed index pairs descending.
     orbits = {}
-    for i in sorted(range(len(faces)), key=lambda i: faces[i].ends[::-1], reverse=True):
-        orbits.setdefault(find(i), []).append(faces[i].vertices)
+    for sheet in range(domain.sheets):
+        for i in order:
+            orbits.setdefault(find(sheet * n + i), []).append((sheet, faces[i].vertices))
     return [tuple(orbit) for orbit in orbits.values()]
+
+
+def edge_classes(pairings, polytope: Polytope24 | None = None):
+    """The code's edge-face orbits, as tuples of EdgeFace keys (vertex
+    pairs), in the order of ``domain_orbits``."""
+    poly = polytope or build_polytope()
+    return [
+        tuple(face for _sheet, face in orbit)
+        for orbit in domain_orbits(base_domain(pairings, poly), poly)
+    ]
 
 
 def presentation(pairings, cycles) -> "groups.Presentation":
@@ -370,6 +463,56 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def check_gluing(pairings, report: ValidationReport, polytope=None) -> bool:
+    """Add the manifold gluing checks of the pairings to ``report``: ridge
+    cycles of length 4 partitioning the ridges, identity relators killed by
+    the orientation character, edge-face orbits of 8.  Returns whether all
+    of them pass."""
+    poly = polytope or build_polytope()
+    eps = orientation_character(pairings)
+    cycles = ridge_cycles(pairings, poly)
+    lengths = report.cycle_lengths = dict(Counter(len(c) for c in cycles))
+    covered = frozenset().union(*(c.ridges for c in cycles))
+    # A right-angled ridge closes up after exactly four dihedral angles.
+    cycles_ok = (
+        sum(len(c.ridges) for c in cycles) == len(poly.ridges)
+        and len(covered) == len(poly.ridges)
+        and set(lengths) == {4}
+    )
+    report.add(
+        "ridge cycles",
+        cycles_ok,
+        f"{len(cycles)} cycles, lengths {lengths}, ridges partitioned",
+    )
+    identity_ok = all(cycle_moebius_word(c, pairings).is_identity() for c in cycles)
+    report.add("cycle relators are identity isometries", identity_ok)
+    eps_ok = all(eps_of_word(c.relator, eps) == 1 for c in cycles)
+    report.add("orientation character kills every relator", eps_ok)
+
+    orbits = edge_classes(pairings, poly)
+    sizes = sorted(len(o) for o in orbits)
+    # The link of a right-angled edge is the 8 octants of a 3-ball.
+    orbit_ok = sum(sizes) == len(poly.edge_faces) and set(sizes) == {8}
+    report.add(
+        "edge-face orbits",
+        orbit_ok,
+        f"{len(orbits)} orbits (3-handles), sizes {sizes}",
+    )
+    return cycles_ok and identity_ok and eps_ok and orbit_ok
+
+
+def require_manifold(pairings, polytope: Polytope24 | None = None):
+    """Raise PoincareViolation naming the first gluing check the pairings
+    fail (the checks of ``validate``)."""
+    report = ValidationReport(code="")
+    if not check_gluing(pairings, report, polytope):
+        name, _passed, detail = next(c for c in report.checks if not c[1])
+        raise PoincareViolation(
+            f"not a manifold gluing: the {name} check fails"
+            + (f" ({detail})" if detail else "")
+        )
+
+
 def validate(code_text: str) -> ValidationReport:
     """Run the full side-pairing validity battery for a code.
 
@@ -391,41 +534,7 @@ def validate(code_text: str) -> ValidationReport:
         if not pair_ok:
             raise InvalidCode("pairing consistency failed")
 
-        eps = orientation_character(pairings)
-        cycles = ridge_cycles(pairings, poly)
-        lengths = {}
-        for c in cycles:
-            lengths[len(c)] = lengths.get(len(c), 0) + 1
-        report.cycle_lengths = lengths
-        covered = frozenset().union(*(c.ridges for c in cycles)) if cycles else frozenset()
-        # A right-angled ridge closes up after exactly four dihedral angles.
-        cycles_ok = (
-            sum(len(c.ridges) for c in cycles) == len(poly.ridges)
-            and len(covered) == len(poly.ridges)
-            and set(lengths) == {4}
-        )
-        report.add(
-            "ridge cycles",
-            cycles_ok,
-            f"{len(cycles)} cycles, lengths {lengths}, ridges partitioned",
-        )
-        identity_ok = all(
-            cycle_moebius_word(c, pairings).is_identity() for c in cycles
-        )
-        report.add("cycle relators are identity isometries", identity_ok)
-        eps_ok = all(eps_of_word(c.relator, eps) == 1 for c in cycles)
-        report.add("orientation character kills every relator", eps_ok)
-
-        orbits = edge_classes(pairings, poly)
-        sizes = sorted(len(o) for o in orbits)
-        # The link of a right-angled edge is the 8 octants of a 3-ball.
-        orbit_ok = sum(sizes) == len(poly.edge_faces) and set(sizes) == {8}
-        report.add(
-            "edge-face orbits",
-            orbit_ok,
-            f"{len(orbits)} orbits (3-handles), sizes {sizes}",
-        )
-        report.ok = cycles_ok and identity_ok and eps_ok and orbit_ok
+        report.ok = check_gluing(pairings, report, poly)
     except ParseError:
         raise
     except CensusError as exc:

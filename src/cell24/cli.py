@@ -141,6 +141,7 @@ def cmd_presentation(args):
 
 def cmd_cusps(args):
     pairings = _pairings(args.code)
+    census.require_manifold(pairings)
     eps = census.orientation_character(pairings)
     classes = cusps.vertex_classes(pairings)
     stabs = [cusps.stabilizer_generators(c, pairings) for c in classes]
@@ -200,12 +201,12 @@ def cmd_cover(args):
     if args.format == "json":
         doc = {
             "alpha": dc.alpha,
-            "boundary_sides": [cover_mod.side_name(s) for s in dc.boundary_sides],
+            "boundary_sides": [census.side_name(s) for s in dc.boundary_sides],
             "pairings": [
                 {
                     "name": p.name,
-                    "source": cover_mod.side_name(p.source),
-                    "target": cover_mod.side_name(p.target),
+                    "source": census.side_name(p.source),
+                    "target": census.side_name(p.target),
                     "rule": p.rule,
                 }
                 for p in dc.pairings
@@ -213,7 +214,7 @@ def cmd_cover(args):
             "cycles": [
                 {
                     "nodes": [
-                        [cover_mod.side_name(a), cover_mod.side_name(p)]
+                        [census.side_name(a), census.side_name(p)]
                         for a, p in c.nodes
                     ],
                     "arrows": [{"gen": n, "sign": s} for n, s in c.arrows],
@@ -225,17 +226,17 @@ def cmd_cover(args):
         _write(_json_text(doc), args.output)
         return 0
     lines = [
-        f"double cover of {args.code} glued along {args.alpha}: "
+        f"double cover of {args.code} glued along {dc.alpha}: "
         f"{len(dc.boundary_sides)} boundary sides, "
         f"{sum(1 for p in dc.pairings if p.rule != 'wall')} nontrivial pairings"
     ]
     for p in dc.pairings:
         lines.append(
-            f"  {p.name}: {cover_mod.side_name(p.source)} -> "
-            f"{cover_mod.side_name(p.target)}  [{p.rule}]"
+            f"  {p.name}: {census.side_name(p.source)} -> "
+            f"{census.side_name(p.target)}  [{p.rule}]"
         )
     lines.append(f"{len(cycles)} ridge cycles:")
-    lines += _cycle_rows(cycles, cover_mod.side_name)
+    lines += _cycle_rows(cycles, census.side_name)
     _write("\n".join(lines), args.output)
     return 0
 
@@ -372,19 +373,19 @@ def build_parser():
     p.add_argument("--fill", action="store_true", help="add the published filling relations")
     add("cusps", cmd_cusps, help="cusp classes, stabilizers, translations, invariants")
     p = add("cover", cmd_cover, help="orientable double cover pairings and cycles")
-    p.add_argument("--alpha", default="g", help="orientation-reversing gluing letter")
+    p.add_argument("--alpha", help="orientation-reversing gluing letter (default: from the code)")
     p = add("invariants", cmd_invariants, help="invariant reports per stage")
     p.add_argument("--stage", choices=kirby.STAGES, default=None)
-    p.add_argument("--alpha", default="g")
+    p.add_argument("--alpha")
     p.add_argument("--max-cosets", type=int, default=100_000)
     p = add("kirby", cmd_kirby, help="Kirby diagram data and figures")
     p.add_argument("--cover", action="store_true", help="diagram of the double cover")
     p.add_argument("--fill", action="store_true", help="include filling 2-handles")
-    p.add_argument("--alpha", default="g")
+    p.add_argument("--alpha")
     p.add_argument("--panel", choices=kirby.PANELS + ("all",), default="xy")
     p = add("trace", cmd_trace, help="replay a shipped cancellation script")
     p.add_argument("--script", required=True)
-    p.add_argument("--alpha", default="g")
+    p.add_argument("--alpha")
 
     return parser
 

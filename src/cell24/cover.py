@@ -5,27 +5,24 @@ Bookkeeping follows the doubled fundamental domain literally: the copies
 are sheets 0 (the base copy) and 1 (the transformed copy), every base side
 exists on both sheets (48 formal sides, 192 ridges), and the gluing wall is
 the degenerate pairing of the chosen letter whose word is the identity.
-Tracing a ridge cycle moves base labels exactly as in the single polytope
-while the sheet flips at every orientation-reversing letter.
+This module only builds the two-sheet domain from the 24 cover pairings;
+its ridge cycles and edge-face orbits come from census's sheeted-domain
+engine, which moves base labels exactly as in the single polytope while
+the sheet flips at every orientation-reversing letter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from . import groups
-from .census import GeometryError, PoincareViolation, eps_of_word, moves_by_side
-from .groups import double_cover_generator_names, free_reduce
+from . import census, groups
+from .census import LETTERS, GeometryError, eps_of_word
+from .groups import double_cover_generator_names
 from .layout import LAYOUT, reflect_x
 from .moebius import MoebiusWord
-from .polytope import SIDE_INDEX, SIDE_ORDER, build_polytope
+from .polytope import SIDE_ORDER, build_polytope
 
 CoverSide = tuple  # (sheet, base side label)
-
-
-def side_name(side: CoverSide) -> str:
-    sheet, label = side
-    return label if sheet == 0 else label + "-"
 
 
 @dataclass(frozen=True)
@@ -47,22 +44,16 @@ class DoubleCover:
     boundary_sides: tuple      # the 46 true boundary sides
     eps: dict                  # base orientation character
     base_pairings: tuple
+    domain: census.Domain = field(repr=False)  # the two-sheet step table
 
     def wall_pairing(self) -> CoverPairing:
         return next(p for p in self.pairings if p.rule == "wall")
 
     def generator_names(self):
         """The 23 nontrivial pairing names, in kernel-presentation order."""
-        names = double_cover_generator_names(
+        return groups.double_cover_generators(
             tuple(p.letter for p in self.base_pairings), self.eps, self.alpha
         )
-        out = []
-        for letter in (p.letter for p in self.base_pairings):
-            for sheet in (0, 1):
-                name = names[(sheet, letter)]
-                if name is not None:
-                    out.append(name)
-        return tuple(out)
 
 
 class GluingLetterError(ValueError):
@@ -70,7 +61,24 @@ class GluingLetterError(ValueError):
     letter of the code."""
 
 
+def default_alpha(eps) -> str:
+    """The default gluing letter: g when it reverses orientation (the
+    letter the layout recipe is defined for), else the first reversing
+    letter in a..l."""
+    for letter in ("g",) + LETTERS:
+        if eps.get(letter) == -1:
+            return letter
+    raise GluingLetterError(
+        "the code has no orientation-reversing letter to glue the double "
+        "cover along"
+    )
+
+
 def build_double_cover(pairings, eps, alpha: str = "g") -> DoubleCover:
+    """The doubled domain glued along ``alpha``; None means
+    ``default_alpha(eps)``."""
+    if alpha is None:
+        alpha = default_alpha(eps)
     if eps.get(alpha) != -1:
         raise GluingLetterError(
             f"the gluing letter must be orientation reversing, got {alpha!r}"
@@ -80,47 +88,22 @@ def build_double_cover(pairings, eps, alpha: str = "g") -> DoubleCover:
     alpha_word = by_letter[alpha].word
     cover_pairings = []
     for p in pairings:
-        s, t = p.source.label, p.target.label
-        if p.letter == alpha:
-            cover_pairings.append(
-                CoverPairing(
-                    f"{inv}{alpha}", (0, s), (1, t), MoebiusWord(()), alpha, "wall"
-                )
-            )
-            cover_pairings.append(
-                CoverPairing(
-                    f"{alpha}{alpha}", (1, s), (0, t),
-                    p.word * p.word, alpha, "wall-back",
-                )
-            )
-        elif eps[p.letter] == 1:
-            cover_pairings.append(
-                CoverPairing(p.letter, (0, s), (0, t), p.word, p.letter,
-                             "preserving-base")
-            )
-            cover_pairings.append(
-                CoverPairing(
-                    f"{inv}{p.letter}{alpha}", (1, s), (1, t),
-                    alpha_word.inverse() * p.word * alpha_word,
-                    p.letter, "preserving-copy",
-                )
-            )
+        x, w = p.letter, p.word
+        if x == alpha:
+            lifts = ((f"{inv}{x}", 0, 1, MoebiusWord(()), "wall"),
+                     (f"{x}{x}", 1, 0, w * w, "wall-back"))
+        elif eps[x] == 1:
+            lifts = ((x, 0, 0, w, "preserving-base"),
+                     (f"{inv}{x}{alpha}", 1, 1, alpha_word.inverse() * w * alpha_word,
+                      "preserving-copy"))
         else:
-            cover_pairings.append(
-                CoverPairing(
-                    f"{inv}{p.letter}", (0, s), (1, t),
-                    alpha_word.inverse() * p.word, p.letter, "reversing-out",
-                )
-            )
-            cover_pairings.append(
-                CoverPairing(
-                    f"{p.letter}{alpha}", (1, s), (0, t),
-                    p.word * alpha_word, p.letter, "reversing-back",
-                )
-            )
-    sides = tuple(
-        (sheet, label) for sheet in (0, 1) for label in SIDE_ORDER
-    )
+            lifts = ((f"{inv}{x}", 0, 1, alpha_word.inverse() * w, "reversing-out"),
+                     (f"{x}{alpha}", 1, 0, w * alpha_word, "reversing-back"))
+        cover_pairings += [
+            CoverPairing(name, (a, p.source.label), (b, p.target.label), word, x, rule)
+            for name, a, b, word, rule in lifts
+        ]
+    sides = tuple((sheet, label) for sheet in (0, 1) for label in SIDE_ORDER)
     wall = {(0, by_letter[alpha].source.label), (1, by_letter[alpha].target.label)}
     boundary = tuple(s for s in sides if s not in wall)
     cover = DoubleCover(
@@ -130,6 +113,11 @@ def build_double_cover(pairings, eps, alpha: str = "g") -> DoubleCover:
         boundary_sides=boundary,
         eps=dict(eps),
         base_pairings=tuple(pairings),
+        domain=census.sheeted_domain(
+            [(p.name, p.source, p.target) for p in cover_pairings],
+            census.moves_by_side(pairings, build_polytope()),
+            wall=f"{inv}{alpha}",
+        ),
     )
     for p in cover.pairings:
         if p.rule == "wall":
@@ -151,120 +139,9 @@ def _name_as_base_word(p: CoverPairing, alpha: str):
     return words[p.rule]
 
 
-@dataclass(frozen=True)
-class CoverRidgeCycle:
-    nodes: tuple     # ordered cover-side pairs per step
-    arrows: tuple    # (pairing name, sign) per step
-    relator: tuple   # Word over nontrivial pairing names (wall letter dropped)
-    ridges: frozenset
-
-    def __len__(self):
-        return len(self.arrows)
-
-
-def _cover_state_key(state):
-    (s1, l1), (s2, l2) = state
-    return (s1, SIDE_INDEX[l1], s2, SIDE_INDEX[l2])
-
-
-def _cover_moves(cover: DoubleCover):
-    moves = {}
-    for p in cover.pairings:
-        moves[p.source] = (p.name, 1, p.target)
-        moves[p.target] = (p.name, -1, p.source)
-    return moves
-
-
-def _trace_cover(start, cover, base_moves, cover_moves, poly):
-    states = []
-    nodes = []
-    arrows = []
-    state = start
-    slots = start
-    while True:
-        states.append(state)
-        nodes.append(slots)
-        active, passive = state
-        sheet, base_label = active
-        name, sign, image_active = cover_moves[active]
-        mv = base_moves[base_label]
-        partner = mv.sides[passive[1]]
-        if partner is None:
-            raise PoincareViolation(
-                f"cover pairing {name} maps side {side_name(passive)} off "
-                "the side lattice"
-            )
-        if not poly.adjacent(mv.image, partner):
-            raise PoincareViolation(
-                f"cover pairing {name} maps ridge {side_name(active)}"
-                f"∩{side_name(passive)} off the ridge lattice"
-            )
-        image_passive = (image_active[0], partner)
-        arrows.append((name, sign))
-        state = (image_passive, image_active)
-        slots = (
-            image_active if slots[0] == active else image_passive,
-            image_passive if slots[1] == passive else image_active,
-        )
-        if state == start:
-            break
-        if len(states) > 768:
-            raise PoincareViolation("cover ridge traversal failed to close")
-    return tuple(states), tuple(nodes), tuple(arrows)
-
-
-def trace_cycle_from(start, cover: DoubleCover):
-    """Trace one cover ridge cycle from an explicit (active, passive) pair of
-    cover sides; returns (nodes, arrows) in printing order."""
-    poly = build_polytope()
-    if not poly.adjacent(start[0][1], start[1][1]):
-        raise ValueError(f"start pair {start} is not a ridge")
-    base_moves = moves_by_side(cover.base_pairings, poly)
-    _states, nodes, arrows = _trace_cover(
-        start, cover, base_moves, _cover_moves(cover), poly
-    )
-    return nodes, arrows
-
-
 def cover_ridge_cycles(cover: DoubleCover):
-    """All ridge cycles of the doubled domain, canonicalised and sorted.
-
-    Same traversal and canonicalisation as the base polytope, with the
-    sheet carried along; both sides of every formal ridge lie in one sheet.
-    """
-    poly = build_polytope()
-    base_moves = moves_by_side(cover.base_pairings, poly)
-    cover_moves = _cover_moves(cover)
-    wall_name = cover.wall_pairing().name
-    seen = set()
-    cycles_by_ridges = {}
-    all_states = []
-    for sheet in (0, 1):
-        for ridge in poly.ridges:
-            a, b = sorted(ridge.sides, key=SIDE_INDEX.get)
-            all_states.append(((sheet, a), (sheet, b)))
-            all_states.append(((sheet, b), (sheet, a)))
-    for start in sorted(all_states, key=_cover_state_key):
-        if start in seen:
-            continue
-        states, _nodes, _arrows = _trace_cover(
-            start, cover, base_moves, cover_moves, poly
-        )
-        seen.update(states)
-        ridge_set = frozenset(frozenset(s) for s in states)
-        cycles_by_ridges.setdefault(ridge_set, []).extend(states)
-    cycles = []
-    for ridge_set, states in cycles_by_ridges.items():
-        start = min(states, key=_cover_state_key)
-        states, nodes, arrows = _trace_cover(
-            start, cover, base_moves, cover_moves, poly
-        )
-        relator = free_reduce(
-            tuple((n, s) for n, s in reversed(arrows) if n != wall_name)
-        )
-        cycles.append(CoverRidgeCycle(nodes, arrows, relator, ridge_set))
-    cycles.sort(key=lambda c: _cover_state_key(c.nodes[0]))
-    return cycles
+    """All ridge cycles of the doubled domain, canonicalised and sorted."""
+    return census.domain_cycles(cover.domain)
 
 
 def cover_presentation(cover: DoubleCover, cycles=None) -> "groups.Presentation":
@@ -278,60 +155,9 @@ def cover_presentation(cover: DoubleCover, cycles=None) -> "groups.Presentation"
     )
 
 
-def cover_moebius_word(word, cover: DoubleCover) -> MoebiusWord:
-    by_name = {p.name: p.word for p in cover.pairings}
-    out = MoebiusWord(())
-    for sym, sign in word:
-        w = by_name[sym]
-        out = out * (w if sign == 1 else w.inverse())
-    return out
-
-
 def cover_edge_classes(cover: DoubleCover):
     """Orbits of the 192 formal codimension-3 faces (the cover 3-handles)."""
-    poly = build_polytope()
-    base_moves = moves_by_side(cover.base_pairings, poly)
-    keys = sorted(
-        ((sheet, f.vertices) for sheet in (0, 1) for f in poly.edge_faces),
-        key=lambda k: (k[0], sorted(k[1])),
-    )
-    index = {k: i for i, k in enumerate(keys)}
-    parent = list(range(len(keys)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for sheet, verts in keys:
-        face = poly.edge_face_by_vertices[verts]
-        for side_label in sorted(face.sides, key=SIDE_INDEX.get):
-            mv = base_moves[side_label]
-            ends = frozenset(mv.vertices[v] for v in face.ends)
-            image_face = poly.edge_face_at.get(ends)
-            if image_face is None:
-                raise PoincareViolation(
-                    "cover pairing maps an edge face off the face lattice"
-                )
-            flips = cover.eps[mv.letter] == -1
-            image_verts = poly.edge_faces[image_face].vertices
-            image = (sheet ^ 1 if flips else sheet, image_verts)
-            union(index[(sheet, verts)], index[image])
-
-    orbits = {}
-    for k, i in index.items():
-        orbits.setdefault(find(i), []).append(k)
-    result = [
-        tuple(sorted(v, key=lambda k: (k[0], sorted(k[1])))) for v in orbits.values()
-    ]
-    result.sort(key=lambda orbit: (orbit[0][0], sorted(orbit[0][1])))
-    return result
+    return census.domain_orbits(cover.domain)
 
 
 def lift_filling_words(base_words, cover: DoubleCover):

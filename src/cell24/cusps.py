@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import flat3
-from .census import GeometryError, PoincareViolation, eps_of_word, moves_by_side
+from .census import (
+    CensusError,
+    GeometryError,
+    PoincareViolation,
+    eps_of_word,
+    moves_by_side,
+    print_code,
+    word_isometry,
+)
 from .groups import (
     free_reduce,
     word_from_str,
@@ -23,7 +31,7 @@ from .groups import (
     word_sort_key,
     word_str,
 )
-from .moebius import TRANSLATION, MoebiusWord, affine_parts, classify_parabolic
+from .moebius import TRANSLATION, affine_parts, classify_parabolic
 from .polytope import SIDE_INDEX, build_polytope
 
 
@@ -73,7 +81,7 @@ def _vertex_moves(v, moves, poly):
             raise PoincareViolation(
                 f"pairing {mv.letter} maps vertex {v} off the vertex set"
             )
-        out.append((mv.letter, mv.sign, mv.word, poly.vertices[image]))
+        out.append((mv.letter, mv.sign, poly.vertices[image]))
     return out
 
 
@@ -92,7 +100,7 @@ def vertex_classes(pairings):
         queue = [start]
         while queue:
             u = queue.pop(0)
-            for letter, sign, _word, w in _vertex_moves(u, moves, poly):
+            for letter, sign, w in _vertex_moves(u, moves, poly):
                 if w not in tree_words:
                     tree_words[w] = free_reduce(tree_words[u] + ((letter, -sign),))
                     tree_edges.add((u, letter, sign))
@@ -111,19 +119,10 @@ def vertex_classes(pairings):
     classes.sort(key=lambda c: c.representative, reverse=True)
     for c in classes:
         for v, w in c.tree_words.items():
-            image = poly.vertex_image(word_moebius(w, pairings).lorentz(), v)
+            image = poly.vertex_image(word_isometry(w, pairings).lorentz(), v)
             if image != c.representative:
                 raise GeometryError("tree word fails to reach the representative")
     return classes
-
-
-def word_moebius(word, pairings) -> MoebiusWord:
-    by_letter = {p.letter: p.word for p in pairings}
-    out = MoebiusWord(())
-    for sym, sign in word:
-        w = by_letter[sym]
-        out = out * (w if sign == 1 else w.inverse())
-    return out
 
 
 def stabilizer_generators(cusp: CuspClass, pairings) -> CuspStabilizer:
@@ -137,7 +136,7 @@ def stabilizer_generators(cusp: CuspClass, pairings) -> CuspStabilizer:
     generators = []
     seen_words = set()
     for v in sorted(cusp.vertices, reverse=True):
-        for letter, sign, _word, w in _vertex_moves(v, moves, poly):
+        for letter, sign, w in _vertex_moves(v, moves, poly):
             if (v, letter, sign) in cusp.tree_edges:
                 continue
             loop = word_mul(
@@ -145,7 +144,7 @@ def stabilizer_generators(cusp: CuspClass, pairings) -> CuspStabilizer:
             )
             if not loop or loop in seen_words or word_inverse(loop) in seen_words:
                 continue
-            moebius = word_moebius(loop, pairings)
+            moebius = word_isometry(loop, pairings)
             rep = cusp.representative
             if poly.vertex_image(moebius.lorentz(), rep) != rep:
                 raise GeometryError(
@@ -345,25 +344,32 @@ def _det3_sign(q):
     raise GeometryError("singular linear part")
 
 
-# Published filling words for the reference code 146928, keyed by class
-# representative.  Each word is validated at use: it must fix a vertex of
-# its class and act there as a pure translation.
+class NoPublishedData(CensusError):
+    """Published filling data was asked for on a code it does not cover."""
+
+
+# Published filling words, keyed by code and then by class representative.
+# Each word is validated at use: it must fix a vertex of its class and act
+# there as a pure translation.
 REFERENCE_FILLING_WORDS = {
-    (1, 0, 0, 0): word_from_str("c"),
-    (0, 1, 0, 0): word_from_str("a"),
-    (0, 0, 1, 0): word_from_str("k"),
-    (0, 0, 0, 1): word_from_str("i"),
-    (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)): word_from_str("EheH"),
+    "146928": {
+        (1, 0, 0, 0): word_from_str("c"),
+        (0, 1, 0, 0): word_from_str("a"),
+        (0, 0, 1, 0): word_from_str("k"),
+        (0, 0, 0, 1): word_from_str("i"),
+        (Fraction(1, 2),) * 4: word_from_str("EheH"),
+    },
 }
 
 # The diagram-level moves replace i by the other translation j of the same
 # cusp, which keeps the attaching circles in coordinate planes.
-REFERENCE_FILLING_WORDS_DIAGRAM = dict(REFERENCE_FILLING_WORDS)
-REFERENCE_FILLING_WORDS_DIAGRAM[(0, 0, 0, 1)] = word_from_str("j")
+REFERENCE_FILLING_WORDS_DIAGRAM = {
+    "146928": {**REFERENCE_FILLING_WORDS["146928"], (0, 0, 0, 1): word_from_str("j")},
+}
 
 # Published alternates: equally valid filling translations of the same cusp.
 ALTERNATE_FILLING_WORDS = {
-    (0, 0, 0, 1): (word_from_str("j"),),
+    "146928": {(0, 0, 0, 1): (word_from_str("j"),)},
 }
 
 
@@ -375,62 +381,55 @@ class ValidatedFilling:
     classification: str
 
 
+def _validated_filling(cls: CuspClass, word, pairings, what) -> ValidatedFilling:
+    """A published word checked as a translation fixing a vertex of cls."""
+    moebius = word_isometry(word, pairings)
+    fixed = next((v for v in cls.vertices if moebius.point(v) == v), None)
+    if fixed is None:
+        raise PoincareViolation(f"{what} {word_str(word)} fixes no vertex of its cusp")
+    kind = classify_parabolic(moebius, fixed)
+    if kind != TRANSLATION:
+        raise PoincareViolation(f"{what} {word_str(word)} is {kind}, not a translation")
+    return ValidatedFilling(cusp=cls, word=word, fixed_vertex=fixed, classification=kind)
+
+
+def _code_of(pairings) -> str:
+    # Two pairings per family, in family order, sharing the family's k.
+    return print_code([p.kpart for p in pairings[::2]])
+
+
 def canonical_fillings(pairings, classes=None, for_diagram=False):
-    """The published filling words, validated against this code's classes."""
+    """The published filling words, validated against this code's classes.
+
+    Only the reference code has published fillings; any other code raises
+    NoPublishedData."""
+    code = _code_of(pairings)
+    tables = REFERENCE_FILLING_WORDS_DIAGRAM if for_diagram else REFERENCE_FILLING_WORDS
+    if code not in tables:
+        raise NoPublishedData(f"no published filling words for code {code}")
+    table = tables[code]
     if classes is None:
         classes = vertex_classes(pairings)
-    table = (
-        REFERENCE_FILLING_WORDS_DIAGRAM if for_diagram else REFERENCE_FILLING_WORDS
-    )
     out = []
     for cls in classes:
-        key = tuple(cls.representative)
-        if key not in table:
+        if cls.representative not in table:
             raise PoincareViolation(
                 f"no published filling word for cusp at {cls.representative}"
             )
-        word = table[key]
-        moebius = word_moebius(word, pairings)
-        fixed = next(
-            (v for v in cls.vertices if moebius.point(v) == v), None
-        )
-        if fixed is None:
-            raise PoincareViolation(
-                f"filling word {word_str(word)} fixes no vertex of its cusp"
-            )
-        kind = classify_parabolic(moebius, fixed)
-        if kind != TRANSLATION:
-            raise PoincareViolation(
-                f"filling word {word_str(word)} is {kind}, not a translation"
-            )
         out.append(
-            ValidatedFilling(
-                cusp=cls, word=word, fixed_vertex=fixed, classification=kind
-            )
+            _validated_filling(cls, table[cls.representative], pairings, "filling word")
         )
     return out
 
 
 def published_alternate_fillings(pairings, classes=None):
-    """Validated published alternates (e.g. j for the cusp filled along i)."""
+    """Validated published alternates (e.g. j for the cusp filled along i);
+    none for a code without published alternates."""
+    table = ALTERNATE_FILLING_WORDS.get(_code_of(pairings), {})
     if classes is None:
         classes = vertex_classes(pairings)
-    out = []
-    for cls in classes:
-        for word in ALTERNATE_FILLING_WORDS.get(tuple(cls.representative), ()):
-            moebius = word_moebius(word, pairings)
-            fixed = next((v for v in cls.vertices if moebius.point(v) == v), None)
-            if fixed is None or classify_parabolic(moebius, fixed) != TRANSLATION:
-                raise PoincareViolation(
-                    f"published alternate {word_str(word)} is not a translation "
-                    "of its cusp"
-                )
-            out.append(
-                ValidatedFilling(
-                    cusp=cls,
-                    word=word,
-                    fixed_vertex=fixed,
-                    classification=TRANSLATION,
-                )
-            )
-    return out
+    return [
+        _validated_filling(cls, word, pairings, "published alternate")
+        for cls in classes
+        for word in table.get(cls.representative, ())
+    ]

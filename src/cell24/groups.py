@@ -150,6 +150,16 @@ def double_cover_generator_names(generators, eps, alpha: str) -> dict:
     return names
 
 
+def double_cover_generators(generators, eps, alpha: str) -> tuple:
+    """The 2n - 1 kernel generator names: the lifts of each base generator
+    in transversal order."""
+    names = double_cover_generator_names(generators, eps, alpha)
+    return tuple(
+        names[(sheet, x)] for x in generators for sheet in (0, 1)
+        if names[(sheet, x)] is not None
+    )
+
+
 def rs_rewrite(word, eps, alpha: str, names=None) -> Word:
     """Rewrite a word of the eps-kernel over the double-cover generators.
 
@@ -198,19 +208,13 @@ def rs_double_cover(p: Presentation, eps: dict, alpha: str) -> Presentation:
         if value != 1:
             raise GroupError("character does not kill every relator")
     names = double_cover_generator_names(p.generators, eps, alpha)
-    gens = []
-    for x in p.generators:
-        for sheet in (0, 1):
-            name = names[(sheet, x)]
-            if name is not None:
-                gens.append(name)
     relators = []
     t = ((alpha, -1),)
     for r in p.relators:
         relators.append(rs_rewrite(r, eps, alpha, names))
         conj = word_mul(t, r, word_inverse(t))
         relators.append(rs_rewrite(conj, eps, alpha, names))
-    return Presentation(tuple(gens), tuple(relators))
+    return Presentation(double_cover_generators(p.generators, eps, alpha), tuple(relators))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import census, cover as cover_mod, cusps, groups
 from .exact import QS2
 from .layout import LAYOUT, REFLECT_X_CENTER
-from .polytope import SIDE_INDEX
+from .polytope import SIDE_INDEX, build_polytope
 
 PANELS = ("xy", "xz", "yz", "off")
 
@@ -126,126 +126,41 @@ def _assign_colors(two_handles):
     return tuple(out)
 
 
-def build_base_diagram(pairings, cycles, fillings=()) -> KirbyDiagram:
-    """Kirby data of the census manifold itself: one 1-handle per pairing,
-    one 2-handle per ridge cycle, plus zero-framed filling handles."""
+def build_diagram(source, domain, layout, fillings=()) -> KirbyDiagram:
+    """Kirby data of a sheeted domain: one 1-handle per pairing (the glued
+    wall pair included), the killing 2-handle over the wall, one 2-handle
+    per ridge cycle, one 3-handle per edge-face orbit, plus zero-framed
+    filling handles.  ``layout`` places a formal side (sheet, label)."""
+    poly = build_polytope()
     one_handles = tuple(
         OneHandle(
-            label=p.letter,
-            sides=(p.source.label, p.target.label),
-            positions=(LAYOUT[p.source.label], LAYOUT[p.target.label]),
+            label=name,
+            sides=(census.side_name(s), census.side_name(t)),
+            positions=(layout(s), layout(t)),
         )
-        for p in pairings
+        for name, s, t in domain.pairs
     )
     by_label = {h.label: h for h in one_handles}
-    two = []
-    for i, c in enumerate(cycles, 1):
-        two.append(
-            TwoHandle(
-                id=f"cycle-{i:02d}",
-                color=0,
-                word=c.relator,
-                framing=None,
-                panel=_panel_of(c.relator, by_label),
-                origin="ridge",
-                ridges=tuple(
-                    (0,) + tuple(sorted(r, key=SIDE_INDEX.get)) for r in sorted(
-                        c.ridges, key=lambda r: sorted(r, key=SIDE_INDEX.get)
-                    )
-                ),
-            )
-        )
-    for fid, word in fillings:
-        two.append(
-            TwoHandle(
-                id=fid,
-                color=-1,
-                word=tuple(word),
-                framing=0,
-                panel=_panel_of(word, by_label),
-                origin="filling",
-            )
-        )
-    three = 12 + (len(fillings) + 1 if fillings else 0)
-    four = 1 if fillings else 0
+
+    def handle(hid, word, origin, framing=None, ridges=()):
+        # Colours are assigned per panel once every handle is known.
+        return TwoHandle(hid, 0, word, framing, _panel_of(word, by_label), origin, ridges)
+
+    two = [handle("killing", ((domain.wall, 1),), "killing")] if domain.wall else []
+    for i, c in enumerate(census.domain_cycles(domain, poly), 1):
+        ridges = (sorted(r, key=lambda s: (s[0], SIDE_INDEX[s[1]])) for r in c.ridges)
+        two.append(handle(
+            f"cycle-{i:02d}", groups.free_reduce(tuple(reversed(c.arrows))), "ridge",
+            ridges=tuple(sorted((a[0], a[1], b[1]) for a, b in ridges)),
+        ))
+    two += [handle(fid, tuple(word), "filling", framing=0) for fid, word in fillings]
+    three = len(census.domain_orbits(domain, poly))
     return KirbyDiagram(
-        source="base",
+        source=source,
         one_handles=one_handles,
         two_handles=_assign_colors(tuple(two)),
-        three_handles=three,
-        four_handles=four,
-    )
-
-
-def build_cover_diagram(cover, cycles, fillings=()) -> KirbyDiagram:
-    """Kirby data of the doubled domain: one 1-handle per cover pairing
-    (including the glued wall pair), the killing 2-handle over the wall,
-    one 2-handle per cover ridge cycle, plus filling handles."""
-    one_handles = []
-    for p in cover.pairings:
-        one_handles.append(
-            OneHandle(
-                label=p.name,
-                sides=(
-                    cover_mod.side_name(p.source),
-                    cover_mod.side_name(p.target),
-                ),
-                positions=(
-                    cover_mod.cover_layout(p.source, cover),
-                    cover_mod.cover_layout(p.target, cover),
-                ),
-            )
-        )
-    one_handles = tuple(one_handles)
-    by_label = {h.label: h for h in one_handles}
-    wall = cover.wall_pairing().name
-    two = [
-        TwoHandle(
-            id="killing",
-            color=-1,
-            word=((wall, 1),),
-            framing=None,
-            panel=_panel_of(((wall, 1),), by_label),
-            origin="killing",
-        )
-    ]
-    for i, c in enumerate(cycles, 1):
-        word = tuple((n, s) for n, s in reversed(c.arrows))
-        word = groups.free_reduce(word)
-        two.append(
-            TwoHandle(
-                id=f"cycle-{i:02d}",
-                color=0,
-                word=word,
-                framing=None,
-                panel=_panel_of(word, by_label),
-                origin="ridge",
-                ridges=tuple(sorted(
-                    (r[0][0], r[0][1], r[1][1])
-                    for ridge in c.ridges
-                    for r in [sorted(ridge, key=lambda s: (s[0], SIDE_INDEX[s[1]]))]
-                )),
-            )
-        )
-    for fid, word in fillings:
-        two.append(
-            TwoHandle(
-                id=fid,
-                color=-1,
-                word=tuple(word),
-                framing=0,
-                panel=_panel_of(word, by_label),
-                origin="filling",
-            )
-        )
-    three = 24 + (len(fillings) + 1 if fillings else 0)
-    four = 1 if fillings else 0
-    return KirbyDiagram(
-        source="cover",
-        one_handles=one_handles,
-        two_handles=_assign_colors(tuple(two)),
-        three_handles=three,
-        four_handles=four,
+        three_handles=three + (len(fillings) + 1 if fillings else 0),
+        four_handles=1 if fillings else 0,
     )
 
 
@@ -441,18 +356,20 @@ def assemble_diagram(code: str, want_cover=False, fill=False, alpha="g"):
     """Build the requested diagram for a code, from scratch."""
     pairings = census.build_pairings(census.parse_code(code))
     if not want_cover:
-        cycles = census.ridge_cycles(pairings)
         fills = filling_pairs(pairings) if fill else ()
-        return build_base_diagram(pairings, cycles, fills)
+        return build_diagram(
+            "base", census.base_domain(pairings), lambda side: LAYOUT[side[1]], fills
+        )
     eps = census.orientation_character(pairings)
     dc = cover_mod.build_double_cover(pairings, eps, alpha)
-    cycles = cover_mod.cover_ridge_cycles(dc)
     fills = ()
     if fill:
         base = filling_pairs(pairings, for_diagram=True)
         lifted = cover_mod.lift_filling_words([w for _, w in base], dc)
         fills = [(fid, lw) for (fid, _), lw in zip(base, lifted)]
-    return build_cover_diagram(dc, cycles, fills)
+    return build_diagram(
+        "cover", dc.domain, lambda side: cover_mod.cover_layout(side, dc), fills
+    )
 
 
 @dataclass(frozen=True)
@@ -495,50 +412,41 @@ def invariant_report(
     if stage not in STAGES:
         raise KirbyError(f"unknown stage {stage!r}; expected one of {STAGES}")
     pairings = census.build_pairings(census.parse_code(code))
-    eps = census.orientation_character(pairings)
     base = census.presentation(pairings, census.ridge_cycles(pairings))
-    fills = [w for _, w in filling_pairs(pairings)]
+
+    def report(pres, chi, budget, orientable, remark):
+        torsion, rank = groups.abelianization(pres)
+        return InvariantReport(
+            stage, chi, torsion, rank, groups.todd_coxeter(pres, budget),
+            orientable=orientable, candidate_remark=remark,
+        )
+
+    def fills():
+        # Published filling words exist only for the reference code, so
+        # they are read only at the filled stages.
+        return [w for _, w in filling_pairs(pairings)]
 
     if stage == "base":
-        torsion, rank = groups.abelianization(base)
-        return InvariantReport(
-            stage, 1, torsion, rank,
-            groups.todd_coxeter(base, unfilled_max_cosets),
-            orientable=False,
-            candidate_remark="cusped census manifold; chi = 1 is the census datum",
-        )
+        return report(base, 1, unfilled_max_cosets, False,
+                      "cusped census manifold; chi = 1 is the census datum")
     if stage == "filled":
-        filled = groups.add_relations(base, fills)
-        torsion, rank = groups.abelianization(filled)
-        return InvariantReport(
-            stage, None, torsion, rank,
-            groups.todd_coxeter(filled, max_cosets),
-            orientable=False,
-            candidate_remark="closed filling along the five cusp translations",
-        )
+        return report(groups.add_relations(base, fills()), None, max_cosets, False,
+                      "closed filling along the five cusp translations")
 
+    eps = census.orientation_character(pairings)
     dc = cover_mod.build_double_cover(pairings, eps, alpha)
     cover_pres = cover_mod.cover_presentation(dc)
     if stage == "cover":
-        torsion, rank = groups.abelianization(cover_pres)
-        return InvariantReport(
-            stage, 2, torsion, rank,
-            groups.todd_coxeter(cover_pres, unfilled_max_cosets),
-            orientable=True,
-            candidate_remark="orientable double cover; chi doubles to 2",
-        )
+        return report(cover_pres, 2, unfilled_max_cosets, True,
+                      "orientable double cover; chi doubles to 2")
 
-    lifted = cover_mod.lift_filling_words(fills, dc)
-    filled_cover = groups.add_relations(cover_pres, lifted)
+    filled_cover = groups.add_relations(
+        cover_pres, cover_mod.lift_filling_words(fills(), dc)
+    )
     if stage == "filled_cover":
-        torsion, rank = groups.abelianization(filled_cover)
-        return InvariantReport(
-            stage, 2, torsion, rank,
-            groups.todd_coxeter(filled_cover, max_cosets),
-            orientable=True,
-            candidate_remark="filled orientable double cover; filling along "
-            "flat cusps preserves chi",
-        )
+        return report(filled_cover, 2, max_cosets, True,
+                      "filled orientable double cover; filling along flat "
+                      "cusps preserves chi")
 
     # Degree-2 cover of the filled cover, handled algebraically: simplify to
     # a single generator of order two, then rewrite its kernel.
@@ -548,16 +456,10 @@ def invariant_report(
             "filled cover did not simplify to a single order-2 generator"
         )
     x = simplified.generators[0]
-    final = groups.rs_double_cover(simplified, {x: -1}, x)
-    torsion, rank = groups.abelianization(final)
-    return InvariantReport(
-        stage, 4, torsion, rank,
-        groups.todd_coxeter(final, max_cosets),
-        orientable=True,
-        candidate_remark="simply connected with chi = 4; the two remaining "
-        "zero-framed 2-handles form the standard diagram of S^2 x S^2 "
-        "(Freedman/Donaldson classification quoted, not re-derived)",
-    )
+    return report(groups.rs_double_cover(simplified, {x: -1}, x), 4, max_cosets, True,
+                  "simply connected with chi = 4; the two remaining "
+                  "zero-framed 2-handles form the standard diagram of S^2 x S^2 "
+                  "(Freedman/Donaldson classification quoted, not re-derived)")
 
 
 # ---------------------------------------------------------------------------

@@ -360,9 +360,6 @@ class MoebiusWord:
         return f"MoebiusWord({self.atoms!r})"
 
 
-IDENTITY = MoebiusWord(())
-
-
 # ---------------------------------------------------------------------------
 # Parabolic classification at an ideal fixed point
 # ---------------------------------------------------------------------------

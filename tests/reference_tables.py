@@ -219,25 +219,26 @@ def check_base_table(pairings):
     {row_number: [discrepancies]} for rows that fail to match."""
     from cell24 import census
 
+    domain = census.base_domain(pairings)
     mismatches = {}
     for number, text in enumerate(BASE_CYCLE_ROWS, 1):
         nodes, _ = parse_row(text)
-        start = (nodes[0][0][1], nodes[0][1][1])
-        traced_nodes, traced_arrows = census.trace_cycle_from(start, pairings)
-        issues = compare_row(text, traced_nodes, traced_arrows, base=True)
+        start = (nodes[0][0], nodes[0][1])
+        traced_nodes, traced_arrows = census.trace_cycle_from(start, domain)
+        issues = compare_row(text, traced_nodes, traced_arrows)
         if issues:
             mismatches[number] = issues
     return mismatches
 
 
 def check_cover_table(cover_obj):
-    from cell24 import cover as cover_mod
+    from cell24 import census
 
     mismatches = {}
     for number, text in enumerate(COVER_CYCLE_ROWS, 1):
         nodes, _ = parse_row(text)
         start = (nodes[0][0], nodes[0][1])
-        traced_nodes, traced_arrows = cover_mod.trace_cycle_from(start, cover_obj)
+        traced_nodes, traced_arrows = census.trace_cycle_from(start, cover_obj.domain)
         issues = compare_row(text, traced_nodes, traced_arrows)
         if issues:
             mismatches[number] = issues

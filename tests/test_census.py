@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 import reference_tables as rt
-from cell24 import census
+from cell24 import census, cover, groups
 from cell24.census import InvalidCode, ParseError, PoincareViolation
 from cell24.groups import word_str
 from cell24.moebius import vec
@@ -175,7 +177,7 @@ def test_seeded_census_sweep(sample_codes):
     poly = build_polytope()
     ridges = {r.sides for r in poly.ridges}
     faces = {f.vertices for f in poly.edge_faces}
-    manifolds = 0
+    manifolds = covers = 0
     for code in sample_codes:
         pairings = census.build_pairings(census.parse_code(code), poly)
         eps = census.orientation_character(pairings)
@@ -198,5 +200,35 @@ def test_seeded_census_sweep(sample_codes):
         )
         assert census.validate(code).ok == manifold, code
         manifolds += manifold
+        if manifold:
+            covers += _check_covers(pairings, eps, cycles, orbits)
     # The sample holds both outcomes.
     assert 0 < manifolds < len(sample_codes)
+    assert covers >= manifolds
+
+
+def _check_covers(pairings, eps, cycles, orbits):
+    """Geometric double cover along every reversing letter of a manifold:
+    its cycles and orbits project two-to-one onto the base's, its relators
+    are identities, and its H1 equals the Reidemeister-Schreier cover's."""
+    base = census.presentation(pairings, cycles)
+    alphas = [letter for letter, e in eps.items() if e == -1]
+    for alpha in alphas:
+        dc = cover.build_double_cover(pairings, eps, alpha)
+        cover_cycles = cover.cover_ridge_cycles(dc)
+        lifted = Counter(
+            frozenset(frozenset(label for _sheet, label in r) for r in c.ridges)
+            for c in cover_cycles
+        )
+        assert lifted == {c.ridges: 2 for c in cycles}
+        lifted = Counter(
+            frozenset(face for _sheet, face in orbit)
+            for orbit in cover.cover_edge_classes(dc)
+        )
+        assert lifted == {frozenset(orbit): 2 for orbit in orbits}
+        for c in cover_cycles:
+            assert census.word_isometry(c.relator, dc.pairings).is_identity()
+        geometric = cover.cover_presentation(dc, cover_cycles)
+        algebraic = groups.rs_double_cover(base, eps, alpha)
+        assert groups.abelianization(geometric) == groups.abelianization(algebraic)
+    return len(alphas)

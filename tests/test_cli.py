@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from cell24 import census
 from cell24.cli import main
 
 
@@ -155,9 +156,11 @@ def test_validate_rejects_non_manifold(capsys):
     assert "[FAIL] edge-face orbits" in out
 
 
-def test_cusp_geometry_error_is_a_domain_error(capsys):
-    # eca824 is not a manifold; its cusp point groups have no supported
-    # structure, which must end in a one-line error, not a traceback.
+def test_cusp_geometry_error_is_a_domain_error(capsys, monkeypatch):
+    # eca824 is not a manifold; past the gluing check its cusp point groups
+    # have no supported structure, which must end in a one-line error, not a
+    # traceback.
+    monkeypatch.setattr(census, "require_manifold", lambda pairings: None)
     code, out, err = run(capsys, "cusps", "eca824")
     assert code == 1
     assert out == ""
@@ -169,3 +172,56 @@ def test_cover_non_reversing_alpha_is_a_usage_error(capsys):
     assert code == 2
     assert err.startswith("usage error: the gluing letter must be orientation reversing")
     assert run(capsys, "cover", "146928", "--alpha", "z")[0] == 2
+
+
+def test_cusps_names_failed_gluing_condition(capsys):
+    code, out, err = run(capsys, "cusps", "eca824")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: not a manifold gluing: the edge-face orbits check fails "
+        "(15 orbits (3-handles), sizes [4, 4, 4, 4, 4, 4, 8, 8, 8, 8, 8, 8, 8, 8, 8])\n"
+    )
+
+
+def test_reference_only_fillings_on_another_code(capsys):
+    # ef276c is a manifold gluing with no published filling data: the
+    # subcommands that do not fill run, and a filling request says so.
+    code, out, _ = run(capsys, "invariants", "ef276c", "--stage", "base")
+    assert code == 0
+    assert out.startswith("stage base: chi = 1, H1 = Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z,")
+    code, out, _ = run(capsys, "cusps", "ef276c")
+    assert code == 0
+    assert out.startswith("5 cusps for code ef276c")
+    assert "published alternate" not in out
+    code, out, err = run(capsys, "presentation", "ef276c", "--fill")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no published filling words for code ef276c\n"
+
+
+def test_default_alpha_from_the_code(capsys):
+    # g preserves orientation on ef276c; its first reversing letter is c.
+    code, out, _ = run(capsys, "cover", "ef276c")
+    assert code == 0
+    assert out.startswith("double cover of ef276c glued along c: 46 boundary sides")
+    assert run(capsys, "cover", "ef276c", "--alpha", "c")[1] == out
+    code, out, _ = run(capsys, "invariants", "ef276c", "--stage", "cover")
+    assert code == 0
+    assert out.startswith("stage cover: chi = 2,")
+    code, out, _ = run(capsys, "cover", "146928")
+    assert run(capsys, "cover", "146928", "--alpha", "g")[1] == out
+
+
+def test_no_reversing_letter_is_a_usage_error(capsys):
+    # Every letter of 112124 preserves orientation.
+    for argv in (["cover", "112124"], ["invariants", "112124", "--stage", "cover"],
+                 ["kirby", "112124", "--cover"], ["trace", "112124", "--script", "m35-cover-fill"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "usage error: the code has no orientation-reversing letter to glue "
+            "the double cover along\n"
+        )
+    assert run(capsys, "invariants", "112124", "--stage", "base")[0] == 0

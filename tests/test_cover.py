@@ -99,7 +99,7 @@ def test_cover_rows_1_2_25_literal(double_cover, cover_cycles):
 
 def test_cover_relators_are_identity(double_cover, cover_cycles):
     for c in cover_cycles:
-        assert cover.cover_moebius_word(c.relator, double_cover).is_identity()
+        assert census.word_isometry(c.relator, double_cover.pairings).is_identity()
 
 
 def test_cover_presentation_counts(double_cover, cover_cycles):
@@ -186,9 +186,32 @@ def test_base_layout_table_matches_published():
 
 
 def test_cover_edge_classes(double_cover):
+    from cell24.polytope import build_polytope
+
     orbits = cover.cover_edge_classes(double_cover)
     assert len(orbits) == 24
     assert sum(len(o) for o in orbits) == 192
+    # Every orbit is closed under the cover pairing words, acting on the
+    # doubled domain whose sheet 1 is the copy alpha^-1(P).
+    poly = build_polytope()
+    alpha = next(
+        p.word for p in double_cover.base_pairings if p.letter == double_cover.alpha
+    )
+    orbit_of = {face: k for k, orbit in enumerate(orbits) for face in orbit}
+    for p in double_cover.pairings:
+        for (sheet, label), (image_sheet, _), word in (
+            (p.source, p.target, p.word),
+            (p.target, p.source, p.word.inverse()),
+        ):
+            for face in poly.edge_faces:
+                if label not in face.sides:
+                    continue
+                moved = (
+                    word.point(v if sheet == 0 else alpha.inverse().point(v))
+                    for v in face.vertices
+                )
+                image = frozenset(q if image_sheet == 0 else alpha.point(q) for q in moved)
+                assert orbit_of[(image_sheet, image)] == orbit_of[(sheet, face.vertices)]
 
 
 def test_other_reversing_letters_build(pairings, eps):

@@ -29,7 +29,7 @@ def test_class_membership(cusp_classes):
 def test_tree_words_move_vertices(pairings, cusp_classes):
     for cls in cusp_classes:
         for v, word in cls.tree_words.items():
-            assert cusps.word_moebius(word, pairings).point(v) == cls.representative
+            assert census.word_isometry(word, pairings).point(v) == cls.representative
 
 
 def test_stabilizer_generators_fix_representative(pairings, stabilizers):
@@ -77,7 +77,7 @@ def test_published_alternate_j(pairings, cusp_classes):
 
 
 def test_half_cusp_word_is_translation(pairings):
-    word = cusps.word_moebius(word_from_str("EheH"), pairings)
+    word = census.word_isometry(word_from_str("EheH"), pairings)
     fixed = vec(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     assert word.point(fixed) == fixed
     assert classify_parabolic(word, fixed) == TRANSLATION

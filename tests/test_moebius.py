@@ -23,7 +23,7 @@ from cell24.moebius import (
     vsub,
 )
 from cell24.polytope import build_polytope
-from cell24 import census, cusps
+from cell24 import census
 from cell24.groups import word_from_str
 
 
@@ -147,7 +147,7 @@ def test_conjugated_sphere_points_are_coplanar():
 def test_classify_parabolic(pairings):
     a = next(p for p in pairings if p.letter == "a")
     assert classify_parabolic(a.word, vec(0, 1, 0, 0)) == TRANSLATION
-    word = cusps.word_moebius(word_from_str("EheH"), pairings)
+    word = census.word_isometry(word_from_str("EheH"), pairings)
     fixed = vec(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     assert classify_parabolic(word, fixed) == TRANSLATION
     assert classify_parabolic(MoebiusWord(()), vec(0, 1, 0, 0)) == IDENTITY_CLASS
