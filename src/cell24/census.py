@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import prod
 
 from . import groups
-from .moebius import Inversion, MoebiusWord, SignFlip
+from .moebius import MoebiusWord, diagonal, lorentz_mul, reflection
 from .polytope import SIDE_INDEX, Polytope24, Side, build_polytope
 
 
@@ -102,10 +102,10 @@ class SidePairing:
         return self.letter
 
 
-def pairing_word(target: Side, kpart) -> MoebiusWord:
+def pairing_word(target_vector, kpart) -> MoebiusWord:
     # Reflection in the image side composed with the diagonal map, diagonal
     # applied first.
-    return MoebiusWord((Inversion(target.sphere), SignFlip(kpart)))
+    return MoebiusWord(lorentz_mul(reflection(target_vector), diagonal(kpart)))
 
 
 def build_pairings(kvecs, polytope: Polytope24 | None = None):
@@ -134,7 +134,7 @@ def build_pairings(kvecs, polytope: Polytope24 | None = None):
         for letter, src in zip(letters, sources):
             tgt_center = tuple(sign * c for sign, c in zip(k, src.center))
             tgt = next(s for s in family_sides if s.center == tgt_center)
-            word = pairing_word(tgt, k)
+            word = pairing_word(poly.side_vectors[tgt.label], k)
             if poly.side_image(word.lorentz(), src.label) != tgt.label:
                 raise InvalidCode(
                     f"pairing {letter} does not carry its source sphere to "
@@ -352,21 +352,25 @@ def _labels(states):
     return [(a[1], p[1]) for a, p in states]
 
 
+def _label_cycles(domain: Domain, poly):
+    return [
+        _ridge_cycle(_labels(states), _labels(nodes), arrows)
+        for states, nodes, arrows in _canonical_traces(domain, poly)
+    ]
+
+
 def ridge_cycles(pairings, polytope: Polytope24 | None = None):
     """The code's ridge cycles, over side labels; sorted by start state,
     which reproduces the published row order for 146928."""
     poly = polytope or build_polytope()
-    return [
-        _ridge_cycle(_labels(states), _labels(nodes), arrows)
-        for states, nodes, arrows in _canonical_traces(base_domain(pairings, poly), poly)
-    ]
+    return _label_cycles(base_domain(pairings, poly), poly)
 
 
 def word_isometry(word, pairings) -> MoebiusWord:
     """The isometry of a word over pairing names (SidePairing or cover
     pairings), composed under the left-action convention."""
     by_name = {p.name: p.word for p in pairings}
-    out = MoebiusWord(())
+    out = MoebiusWord()
     for sym, sign in word:
         w = by_name[sym]
         out = out * (w if sign == 1 else w.inverse())
@@ -427,14 +431,15 @@ def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
     return [tuple(orbit) for orbit in orbits.values()]
 
 
+def _label_orbits(domain: Domain, poly):
+    return [tuple(face for _sheet, face in orbit) for orbit in domain_orbits(domain, poly)]
+
+
 def edge_classes(pairings, polytope: Polytope24 | None = None):
     """The code's edge-face orbits, as tuples of EdgeFace keys (vertex
     pairs), in the order of ``domain_orbits``."""
     poly = polytope or build_polytope()
-    return [
-        tuple(face for _sheet, face in orbit)
-        for orbit in domain_orbits(base_domain(pairings, poly), poly)
-    ]
+    return _label_orbits(base_domain(pairings, poly), poly)
 
 
 def presentation(pairings, cycles) -> "groups.Presentation":
@@ -470,7 +475,8 @@ def check_gluing(pairings, report: ValidationReport, polytope=None) -> bool:
     of them pass."""
     poly = polytope or build_polytope()
     eps = orientation_character(pairings)
-    cycles = ridge_cycles(pairings, poly)
+    domain = base_domain(pairings, poly)
+    cycles = _label_cycles(domain, poly)
     lengths = report.cycle_lengths = dict(Counter(len(c) for c in cycles))
     covered = frozenset().union(*(c.ridges for c in cycles))
     # A right-angled ridge closes up after exactly four dihedral angles.
@@ -489,7 +495,7 @@ def check_gluing(pairings, report: ValidationReport, polytope=None) -> bool:
     eps_ok = all(eps_of_word(c.relator, eps) == 1 for c in cycles)
     report.add("orientation character kills every relator", eps_ok)
 
-    orbits = edge_classes(pairings, poly)
+    orbits = _label_orbits(domain, poly)
     sizes = sorted(len(o) for o in orbits)
     # The link of a right-angled edge is the 8 octants of a 3-ball.
     orbit_ok = sum(sizes) == len(poly.edge_faces) and set(sizes) == {8}

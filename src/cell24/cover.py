@@ -90,7 +90,7 @@ def build_double_cover(pairings, eps, alpha: str = "g") -> DoubleCover:
     for p in pairings:
         x, w = p.letter, p.word
         if x == alpha:
-            lifts = ((f"{inv}{x}", 0, 1, MoebiusWord(()), "wall"),
+            lifts = ((f"{inv}{x}", 0, 1, MoebiusWord(), "wall"),
                      (f"{x}{x}", 1, 0, w * w, "wall-back"))
         elif eps[x] == 1:
             lifts = ((x, 0, 0, w, "preserving-base"),

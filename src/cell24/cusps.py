@@ -4,8 +4,9 @@ filling-word selection, and flat cross-section invariants.
 The pairing moves act on the 24 ideal vertices; orbit classes are the cusps.
 A spanning tree of each class gives loop words generating the stabilizer of
 the class representative (the lexicographically greatest vertex).  Each
-stabilizer is a concrete rank-3 Bieberbach group acting on the horoplane at
-its representative, which is where the exact invariants come from.
+stabilizer is a concrete rank-3 Bieberbach group acting by integer affine
+maps (``moebius.affine_parts``) on the horosphere lattice at its
+representative, which is where the exact invariants come from.
 """
 
 from __future__ import annotations
@@ -163,9 +164,8 @@ def _affine_ball(stab: CuspStabilizer, pairings, max_factors: int):
     rep = stab.cusp.representative
     gen_affine = []
     for word, moebius in stab.generators:
-        q, t = affine_parts(moebius, rep)
-        gen_affine.append((word, (q, t)))
-        gen_affine.append((word_inverse(word), flat3.affine_inverse((q, t))))
+        gen_affine.append((word, affine_parts(moebius, rep)))
+        gen_affine.append((word_inverse(word), affine_parts(moebius.inverse(), rep)))
     best = {_affine_key(flat3.AFFINE_ID): ((), flat3.AFFINE_ID)}
     frontier = [((), flat3.AFFINE_ID)]
     for _ in range(max_factors):
@@ -247,7 +247,7 @@ def cusp_invariants(stab: CuspStabilizer, pairings, eps) -> CuspInvariants:
     # Transversal of the holonomy quotient, then Schreier translations.
     reps = {flat3.I3: flat3.AFFINE_ID}
     frontier = [flat3.AFFINE_ID]
-    signed = affines + [flat3.affine_inverse(a) for a in affines]
+    signed = affines + [affine_parts(m.inverse(), rep) for _, m in stab.generators]
     while frontier:
         nxt = []
         for aff in frontier:
@@ -383,8 +383,11 @@ class ValidatedFilling:
 
 def _validated_filling(cls: CuspClass, word, pairings, what) -> ValidatedFilling:
     """A published word checked as a translation fixing a vertex of cls."""
+    poly = build_polytope()
     moebius = word_isometry(word, pairings)
-    fixed = next((v for v in cls.vertices if moebius.point(v) == v), None)
+    fixed = next(
+        (v for v in cls.vertices if poly.vertex_image(moebius.lorentz(), v) == v), None
+    )
     if fixed is None:
         raise PoincareViolation(f"{what} {word_str(word)} fixes no vertex of its cusp")
     kind = classify_parabolic(moebius, fixed)

@@ -1,9 +1,9 @@
-"""Exact number systems used throughout: arbitrary-precision rationals
+"""Exact number systems beyond the integers: arbitrary-precision rationals
 (stdlib ``fractions.Fraction``) and the real quadratic field Q(sqrt 2).
 
-Everything downstream (ball-model coordinates, sphere inversions, layout
-coordinates) is computed in these two systems, so every comparison in the
-package is exact.
+Isometries are integer Lorentz matrices (see moebius); ideal vertices and
+flat-manifold lattices use rationals, and layout coordinates live in
+Q(sqrt 2), so every comparison in the package is exact.
 """
 
 from __future__ import annotations
@@ -160,96 +160,3 @@ class QS2:
 
 
 SQRT2 = QS2(0, 1)
-
-
-def qs2_parse(text: str) -> QS2:
-    """Inverse of ``str(QS2)``.  Accepts e.g. '0', '-3/2', '1 + sqrt2',
-    '1/2 - 3/4*sqrt2', 'sqrt2'."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty Q(sqrt2) literal")
-    # Split into signed terms.
-    terms = []
-    i = 0
-    start = 0
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > start and s[i - 1] not in "+-/*":
-            terms.append(s[start:i])
-            start = i
-    terms.append(s[start:])
-    a = Fraction(0)
-    b = Fraction(0)
-    for term in terms:
-        if "sqrt2" in term:
-            coeff = term.replace("sqrt2", "").rstrip("*")
-            if coeff in ("", "+"):
-                b += 1
-            elif coeff == "-":
-                b -= 1
-            else:
-                b += Fraction(coeff)
-        else:
-            a += Fraction(term)
-    return QS2(a, b)
-
-
-# -- small exact linear algebra over Fraction --------------------------------
-
-
-def rat_rank(rows) -> int:
-    """Rank of a matrix of Fractions, by fraction-exact Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col] / pv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
-
-
-def rat_solve(a_rows, b_col):
-    """Solve A x = b exactly; raises ValueError if inconsistent.
-
-    Returns one solution (free variables set to 0), as a list of Fractions.
-    """
-    m = [list(r) + [bv] for r, bv in zip(a_rows, b_col)]
-    nrows = len(m)
-    ncols = len(a_rows[0]) if a_rows else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if m[r][ncols] != 0:
-            raise ValueError("inconsistent linear system")
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
-    return x

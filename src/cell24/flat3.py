@@ -70,7 +70,7 @@ def affine_inverse(f):
     return qi, tuple(-x for x in mat_vec(qi, t))
 
 
-AFFINE_ID = (I3, (Fraction(0), Fraction(0), Fraction(0)))
+AFFINE_ID = (I3, (0, 0, 0))
 
 
 def _gcd(a, b):

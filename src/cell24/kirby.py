@@ -404,15 +404,25 @@ def invariant_report(
 ) -> InvariantReport:
     """Algebraic invariants at each stage of the construction.
 
-    The Euler characteristic starts from the census datum chi = 1 and is
-    multiplied by covering degree; boundary filling along flat cusps leaves
-    it unchanged.  Enumeration on the unfilled (infinite) groups runs with a
-    small budget and reports inconclusive.
+    The code must give a manifold gluing.  The Euler characteristic of the
+    base and of the cover is counted on the engine's domain, sheets -
+    pairings + ridge cycles - edge-face orbits (the ideal vertices add no
+    4-handle), and orientability is read off the orientation character;
+    boundary filling along flat cusps leaves chi unchanged and the degree-2
+    cover of the filled cover doubles it.  Enumeration on the unfilled
+    (infinite) groups runs with a small budget and reports inconclusive.
     """
     if stage not in STAGES:
         raise KirbyError(f"unknown stage {stage!r}; expected one of {STAGES}")
     pairings = census.build_pairings(census.parse_code(code))
+    eps = census.orientation_character(pairings)
+    # A letter that cannot glue the cover is a usage error, reported before
+    # the gluing checks.
+    covered = stage not in ("base", "filled")
+    dc = cover_mod.build_double_cover(pairings, eps, alpha) if covered else None
+    census.require_manifold(pairings)
     base = census.presentation(pairings, census.ridge_cycles(pairings))
+    orientable = all(e == 1 for e in eps.values())
 
     def report(pres, chi, budget, orientable, remark):
         torsion, rank = groups.abelianization(pres)
@@ -421,30 +431,35 @@ def invariant_report(
             orientable=orientable, candidate_remark=remark,
         )
 
+    def euler(domain, pres):
+        # One 2-handle per ridge cycle, that is per relator.
+        return (domain.sheets - len(domain.pairs) + len(pres.relators)
+                - len(census.domain_orbits(domain)))
+
     def fills():
         # Published filling words exist only for the reference code, so
         # they are read only at the filled stages.
         return [w for _, w in filling_pairs(pairings)]
 
     if stage == "base":
-        return report(base, 1, unfilled_max_cosets, False,
+        return report(base, euler(census.base_domain(pairings), base),
+                      unfilled_max_cosets, orientable,
                       "cusped census manifold; chi = 1 is the census datum")
     if stage == "filled":
-        return report(groups.add_relations(base, fills()), None, max_cosets, False,
-                      "closed filling along the five cusp translations")
+        return report(groups.add_relations(base, fills()), None, max_cosets,
+                      orientable, "closed filling along the five cusp translations")
 
-    eps = census.orientation_character(pairings)
-    dc = cover_mod.build_double_cover(pairings, eps, alpha)
     cover_pres = cover_mod.cover_presentation(dc)
+    cover_chi = euler(dc.domain, cover_pres)
     if stage == "cover":
-        return report(cover_pres, 2, unfilled_max_cosets, True,
+        return report(cover_pres, cover_chi, unfilled_max_cosets, True,
                       "orientable double cover; chi doubles to 2")
 
     filled_cover = groups.add_relations(
         cover_pres, cover_mod.lift_filling_words(fills(), dc)
     )
     if stage == "filled_cover":
-        return report(filled_cover, 2, max_cosets, True,
+        return report(filled_cover, cover_chi, max_cosets, True,
                       "filled orientable double cover; filling along flat "
                       "cusps preserves chi")
 
@@ -456,7 +471,8 @@ def invariant_report(
             "filled cover did not simplify to a single order-2 generator"
         )
     x = simplified.generators[0]
-    return report(groups.rs_double_cover(simplified, {x: -1}, x), 4, max_cosets, True,
+    return report(groups.rs_double_cover(simplified, {x: -1}, x), 2 * cover_chi,
+                  max_cosets, True,
                   "simply connected with chi = 4; the two remaining "
                   "zero-framed 2-handles form the standard diagram of S^2 x S^2 "
                   "(Freedman/Donaldson classification quoted, not re-derived)")

@@ -1,78 +1,25 @@
-"""Exact Moebius geometry of the conformal ball model of H^4.
+"""Exact isometries of hyperbolic 4-space as integer Lorentz matrices.
 
-Points live on R^4 together with a point at infinity; the maps we need are
-generated by inversions in spheres, reflections in hyperplanes, and
-sign-diagonal linear maps.  All of these are involutions, so a word is
-inverted by reversing its atom sequence.
+The hyperboloid model is R^5 with the form J = diag(1, 1, 1, 1, -1); an
+isometry is a matrix M in O+(4,1) with M^T J M = J.  The ideal point v of
+S^3 is the light ray of (v, 1).  Inversion in a sphere with centre c and
+radius 1 orthogonal to S^3 (|c|^2 = 2, the side spheres of the ideal
+24-cell) is the reflection I - 2 n n^T J in the integer vector n = (c, 1)
+of norm 1, and a sign-diagonal map k is diag(k, 1).  So every side pairing
+and every word in the pairings is one matrix in O+(4,1; Z): words compose
+by matrix multiplication, invert as J M^T J, and are the identity exactly
+when the matrix is I.
 
-A map that preserves the unit ball is also an exact Lorentz matrix in
-O+(4,1) acting on R^5 with the form J = diag(1, 1, 1, 1, -1) (the
-hyperboloid model).  The ideal point v of S^3 is the light ray of (v, 1),
-and inversion in a sphere with centre c and radius r orthogonal to S^3
-(|c|^2 = 1 + r^2) is the reflection R = I - 2 n n^T J / <n, n> in the
-spacelike vector n = (c, 1).  This correspondence is a group isomorphism,
-so a word is the identity exactly when its matrix is I.  Every side pairing
-of the ideal 24-cell has an integer matrix.
-
-Convention (fixed once, used everywhere): words act on the left, the atom
-sequence is applied right-to-left, i.e. ``MoebiusWord((f, g))`` is the map
-f o g.
+Convention (fixed once, used everywhere): words act on the left, so
+``f * g`` is the map f o g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, reduce
-from math import gcd, lcm
+from math import gcd
 
-from .exact import rat_rank, rat_solve, rat_str
-
-Vec = tuple  # tuple of Fraction, length 4
-
-
-class _Infinity:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = _Infinity()
-
-
-def vec(*coords) -> Vec:
-    return tuple(Fraction(c) for c in coords)
-
-
-def vdot(u: Vec, v: Vec) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
-
-
-def vec_str(v: Vec) -> str:
-    return "(" + ",".join(rat_str(c) for c in v) + ")"
-
-
-# ---------------------------------------------------------------------------
-# Lorentz matrices: 5x5 tuples of ints (Fractions only where not integral)
-# ---------------------------------------------------------------------------
+from .flat3 import I3
 
 LORENTZ_FORM = (1, 1, 1, 1, -1)  # the diagonal of J
 LORENTZ_IDENTITY = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
@@ -101,267 +48,60 @@ def lorentz_mul(a, b):
     ])
 
 
-def _reflection(n):
-    """I - 2 n n^T J / <n, n>: the Lorentz reflection in the spacelike
-    rational vector n, with integer entries wherever they are integral."""
-    scale = lcm(*(Fraction(x).denominator for x in n))
-    n = tuple(int(x * scale) for x in n)
-    q = lorentz_dot(n, n)
-    if q <= 0:
-        raise ValueError("reflection vector must be spacelike")
-    rows = []
-    for i in range(5):
-        row = []
-        for j in range(5):
-            num = (q if i == j else 0) - 2 * n[i] * n[j] * LORENTZ_FORM[j]
-            row.append(num // q if num % q == 0 else Fraction(num, q))
-        rows.append(tuple(row))
-    return tuple(rows)
+def reflection(n):
+    """I - 2 n n^T J: the reflection in an integer vector n of norm 1."""
+    if lorentz_dot(n, n) != 1:
+        raise ValueError("reflection vector must have Lorentz norm 1")
+    return tuple(
+        tuple(int(i == j) - 2 * n[i] * n[j] * LORENTZ_FORM[j] for j in range(5))
+        for i in range(5)
+    )
 
 
-@dataclass(frozen=True)
-class Sphere:
-    """Round sphere in R^4: centre and squared radius (radius_sq > 0)."""
-
-    center: Vec
-    radius_sq: Fraction
-
-    def __post_init__(self):
-        if self.radius_sq <= 0:
-            raise ValueError("sphere needs positive squared radius")
-
-    def contains(self, p) -> bool:
-        if p is INF:
-            return False
-        d = vsub(p, self.center)
-        return vdot(d, d) == self.radius_sq
+def diagonal(signs):
+    """diag(signs, 1): the sign-diagonal map of R^4 on the ball."""
+    diag = tuple(signs) + (1,)
+    return tuple(tuple(diag[i] if i == j else 0 for j in range(5)) for i in range(5))
 
 
-def _plane_canonical(normal: Vec, offset: Fraction):
-    # Scale so the normal is a primitive integer vector with positive leading
-    # entry; planes are equal up to scalar, so this is the canonical form.
-    denoms = [c.denominator for c in normal] + [offset.denominator]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in normal]
-    off = offset * lcm
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g == 0:
-        raise ValueError("plane needs a nonzero normal")
-    lead = next(c for c in ints if c != 0)
-    if lead < 0:
-        g = -g
-    return tuple(Fraction(c, g) for c in ints), off / g
+def primitive(w):
+    """The primitive integer vector on the ray of the integer vector w."""
+    g = gcd(*w)
+    return tuple(x // g for x in w)
 
 
-@dataclass(frozen=True)
-class Plane:
-    """Hyperplane { x : normal . x = offset }, stored in canonical form."""
-
-    normal: Vec
-    offset: Fraction
-
-    def __post_init__(self):
-        n, d = _plane_canonical(self.normal, Fraction(self.offset))
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", d)
-
-    def contains(self, p) -> bool:
-        if p is INF:
-            return True
-        return vdot(self.normal, p) == self.offset
+def light_vector(v):
+    """The primitive integer vector on the light ray of (v, 1), for a point
+    v of S^3 with coordinates in Z/2."""
+    return primitive(tuple(int(2 * x) for x in v) + (2,))
 
 
-# ---------------------------------------------------------------------------
-# Atomic maps (all involutions)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Inversion:
-    sphere: Sphere
-
-    def point(self, p):
-        c = self.sphere.center
-        if p is INF:
-            return c
-        d = vsub(p, c)
-        n = vdot(d, d)
-        if n == 0:
-            return INF
-        return vadd(c, vscale(self.sphere.radius_sq / n, d))
-
-    def gensphere(self, s):
-        a = self.sphere.center
-        r2 = self.sphere.radius_sq
-        if isinstance(s, Sphere):
-            d = vsub(s.center, a)
-            t = vdot(d, d) - s.radius_sq
-            if t == 0:
-                # Sphere through the inversion centre maps to a hyperplane.
-                return Plane(d, vdot(a, d) + r2 / 2)
-            f = r2 / t
-            return Sphere(vadd(a, vscale(f, d)), f * f * s.radius_sq)
-        # Plane input.
-        h = s.offset - vdot(a, s.normal)
-        if h == 0:
-            return s
-        f = r2 / (2 * h)
-        return Sphere(vadd(a, vscale(f, s.normal)), f * f * vdot(s.normal, s.normal))
-
-    @cached_property
-    def matrix(self):
-        """Lorentz matrix: the reflection in (c, 1).  Only spheres orthogonal
-        to S^3 preserve the ball."""
-        c = self.sphere.center
-        if vdot(c, c) != 1 + self.sphere.radius_sq:
-            raise ValueError("inversion sphere is not orthogonal to S^3")
-        return _reflection(tuple(c) + (1,))
-
-    def __str__(self):
-        return f"Inv[{vec_str(self.sphere.center)};{rat_str(self.sphere.radius_sq)}]"
-
-
-@dataclass(frozen=True)
-class SignFlip:
-    signs: tuple  # entries in {-1, +1}
-
-    def __post_init__(self):
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("sign vector entries must be +-1")
-        if all(s == 1 for s in self.signs):
-            raise ValueError("identity sign flip is not an atom")
-
-    def _flip(self, v: Vec) -> Vec:
-        return tuple(s * c for s, c in zip(self.signs, v))
-
-    def point(self, p):
-        if p is INF:
-            return INF
-        return self._flip(p)
-
-    def gensphere(self, s):
-        if isinstance(s, Sphere):
-            return Sphere(self._flip(s.center), s.radius_sq)
-        return Plane(self._flip(s.normal), s.offset)
-
-    @cached_property
-    def matrix(self):
-        """Lorentz matrix: diag(signs, 1)."""
-        diag = tuple(self.signs) + (1,)
-        return tuple(
-            tuple(diag[i] if i == j else 0 for j in range(5)) for i in range(5)
-        )
-
-    def __str__(self):
-        return "Diag[" + "".join("+" if s == 1 else "-" for s in self.signs) + "]"
-
-
-@dataclass(frozen=True)
-class PlaneReflect:
-    plane: Plane
-
-    def point(self, p):
-        if p is INF:
-            return INF
-        n = self.plane.normal
-        f = 2 * (vdot(p, n) - self.plane.offset) / vdot(n, n)
-        return vsub(p, vscale(f, n))
-
-    def gensphere(self, s):
-        if isinstance(s, Sphere):
-            return Sphere(self.point(s.center), s.radius_sq)
-        m = self.plane.normal
-        nn = vsub(s.normal, vscale(2 * vdot(s.normal, m) / vdot(m, m), m))
-        # Offset via the image of one point of the plane: p0 = (offset/|n|^2) n.
-        p0 = vscale(s.offset / vdot(s.normal, s.normal), s.normal)
-        return Plane(nn, vdot(self.point(p0), nn))
-
-    @cached_property
-    def matrix(self):
-        """Lorentz matrix: the reflection in (normal, 0).  Only planes
-        through the origin preserve the ball."""
-        if self.plane.offset != 0:
-            raise ValueError("reflection plane does not pass through the origin")
-        return _reflection(tuple(self.plane.normal) + (0,))
-
-    def __str__(self):
-        return f"Refl[{vec_str(self.plane.normal)}={rat_str(self.plane.offset)}]"
-
-
-# ---------------------------------------------------------------------------
-# Words
-# ---------------------------------------------------------------------------
-
-
+@dataclass(frozen=True, slots=True)
 class MoebiusWord:
-    """Composable sequence of atomic maps, applied right-to-left."""
+    """An isometry of H^4: one integer Lorentz matrix."""
 
-    __slots__ = ("atoms", "_lorentz")
-
-    def __init__(self, atoms=()):
-        object.__setattr__(self, "atoms", tuple(atoms))
-        object.__setattr__(self, "_lorentz", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MoebiusWord is immutable")
+    matrix: tuple = LORENTZ_IDENTITY
 
     def __mul__(self, other):
-        return MoebiusWord(self.atoms + other.atoms)
+        return MoebiusWord(lorentz_mul(self.matrix, other.matrix))
 
     def inverse(self):
-        # Every atom is an involution.
-        return MoebiusWord(tuple(reversed(self.atoms)))
-
-    def __len__(self):
-        return len(self.atoms)
-
-    def __eq__(self, other):
-        return isinstance(other, MoebiusWord) and self.atoms == other.atoms
-
-    def __hash__(self):
-        return hash(self.atoms)
-
-    def point(self, p):
-        for atom in reversed(self.atoms):
-            p = atom.point(p)
-        return p
-
-    def gensphere(self, s):
-        for atom in reversed(self.atoms):
-            s = atom.gensphere(s)
-        return s
+        """J M^T J."""
+        m, j = self.matrix, LORENTZ_FORM
+        return MoebiusWord(tuple(
+            tuple(j[r] * m[c][r] * j[c] for c in range(5)) for r in range(5)
+        ))
 
     def lorentz(self):
-        """The exact Lorentz matrix of the word: the product of its atoms'
-        matrices, computed once per word.  Raises ValueError when an atom
-        does not preserve the ball."""
-        m = self._lorentz
-        if m is None:
-            matrices = [atom.matrix for atom in self.atoms] or [LORENTZ_IDENTITY]
-            m = reduce(lorentz_mul, matrices)
-            object.__setattr__(self, "_lorentz", m)
-        return m
+        return self.matrix
 
     def is_identity(self) -> bool:
-        """True iff the word is the identity map, i.e. its Lorentz matrix
-        is I."""
-        return self.lorentz() == LORENTZ_IDENTITY
-
-    def __str__(self):
-        if not self.atoms:
-            return "Id"
-        return " o ".join(str(a) for a in self.atoms)
-
-    def __repr__(self):
-        return f"MoebiusWord({self.atoms!r})"
+        """True iff the isometry is the identity, i.e. its matrix is I."""
+        return self.matrix == LORENTZ_IDENTITY
 
 
 # ---------------------------------------------------------------------------
-# Parabolic classification at an ideal fixed point
+# Cusp geometry at an ideal fixed point
 # ---------------------------------------------------------------------------
 
 IDENTITY_CLASS = "identity"
@@ -369,76 +109,42 @@ TRANSLATION = "translation"
 OTHER_PARABOLIC_OR_ELLIPTIC = "other"
 
 
-def conjugate_to_infinity(v: Vec) -> MoebiusWord:
-    """Inversion in the unit sphere centred at v in S^3; sends v to infinity
-    and S^3 to the hyperplane { x . v = 1/2 }."""
-    if vdot(v, v) != 1:
-        raise ValueError("conjugation point must lie on S^3")
-    return MoebiusWord((Inversion(Sphere(v, Fraction(1))),))
+def affine_parts(w: MoebiusWord, v):
+    """Integer affine action (Q, t) of an isometry fixing the ideal point v,
+    acting as x -> Q x + t on the horosphere lattice at v.
 
-
-def horoplane_frame(v: Vec):
-    """Exact affine frame (p0, p1, p2, p3) spanning the image hyperplane
-    { x . v = 1/2 } of S^3 under ``conjugate_to_infinity(v)``."""
-    p0 = vscale(Fraction(1, 2), v)
-    basis = []
-    for i in range(4):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(4))
-        u = vsub(e, vscale(vdot(e, v), v))
-        if rat_rank([list(b) for b in basis] + [list(u)]) > len(basis):
-            basis.append(u)
-        if len(basis) == 3:
-            break
-    if len(basis) != 3:
-        raise AssertionError("failed to span the horoplane")
-    return p0, tuple(basis)
-
-
-def classify_parabolic(w: MoebiusWord, v: Vec) -> str:
-    """Classify a word fixing the ideal point v: identity, pure translation of
-    the conjugated horoplane, or anything else (rotation part present)."""
-    if w.point(v) != v:
-        raise ValueError("word does not fix the given ideal point")
-    sigma = conjugate_to_infinity(v)
-    conj = sigma * w * sigma
-    p0, basis = horoplane_frame(v)
-    q0 = conj.point(p0)
-    if q0 is INF:
-        raise AssertionError("conjugated word must fix infinity")
-    translates = True
-    for b in basis:
-        pi = vadd(p0, b)
-        qi = conj.point(pi)
-        if qi is INF or vsub(qi, q0) != b:
-            translates = False
-            break
-    if not translates:
-        return OTHER_PARABOLIC_OR_ELLIPTIC
-    return IDENTITY_CLASS if q0 == p0 else TRANSLATION
-
-
-def affine_parts(w: MoebiusWord, v: Vec):
-    """Exact affine form of the conjugated action on the horoplane at v.
-
-    Returns (Q, t): a 3x3 Fraction matrix and a length-3 translation vector,
-    both in the ``horoplane_frame`` basis, with w acting as x -> Q x + t.
+    With u = ``light_vector(v)``, the isometries fixing u act on the affine
+    space {x : <x, u> = 1} / R u, whose translations are u^perp / <u>.
+    The origin is w0 = u_i e_i, so <w0, u> = 1 (i < 4 the first index with
+    u_i = +-1); a vector y of u^perp is the sum over j != i of
+    y_j p(e_j), p(e_j) = e_j - <e_j, u> w0, and reducing modulo u drops
+    coordinate d (the next index with u_d = +-1).  Origin and basis are
+    integral, so Q is in GL(3, Z) and t in Z^3.  Raises ValueError when w
+    does not fix v.
     """
-    if w.point(v) != v:
+    m = w.matrix
+    u = light_vector(v)
+    if lorentz_apply(m, u) != u:
         raise ValueError("word does not fix the given ideal point")
-    sigma = conjugate_to_infinity(v)
-    conj = sigma * w * sigma
-    p0, basis = horoplane_frame(v)
-    cols = [list(b) for b in basis]
-    a_rows = [[cols[j][i] for j in range(3)] for i in range(4)]
+    i, d = [k for k in range(5) if u[k] in (1, -1)][:2]
+    keep = [k for k in range(5) if k not in (i, d)]
+    mw0 = [u[i] * m[r][i] for r in range(5)]  # M w0
 
-    def coords(x):
-        return rat_solve(a_rows, list(x))
+    def coords(y):
+        return tuple(y[k] - y[d] * u[d] * u[k] for k in keep)
 
-    q0 = conj.point(p0)
-    t = coords(vsub(q0, p0))
-    q_cols = []
-    for b in basis:
-        qi = conj.point(vadd(p0, b))
-        q_cols.append(coords(vsub(qi, q0)))
-    q = tuple(tuple(q_cols[j][i] for j in range(3)) for i in range(3))
-    return q, tuple(t)
+    t = coords(mw0)  # the origin w0 has coordinates 0
+    cols = [
+        coords([m[r][j] - LORENTZ_FORM[j] * u[j] * mw0[r] for r in range(5)])
+        for j in keep
+    ]
+    return tuple(tuple(col[r] for col in cols) for r in range(3)), t
+
+
+def classify_parabolic(w: MoebiusWord, v) -> str:
+    """Classify a word fixing the ideal point v: identity, pure translation
+    of the horosphere at v, or anything else (rotation part present)."""
+    q, t = affine_parts(w, v)
+    if q != I3:
+        return OTHER_PARABOLIC_OR_ELLIPTIC
+    return TRANSLATION if any(t) else IDENTITY_CLASS

@@ -4,13 +4,15 @@ The model is normalised so that every side sphere has radius 1 and its centre
 is a lattice vector of squared norm 2 (the orthogonality identity
 |c|^2 = 1 + R^2 makes those spheres orthogonal to S^3).  The 24 ideal
 vertices lie on S^3: the 8 unit vectors +-e_i and the 16 half-integer points
-(+-1/2, +-1/2, +-1/2, +-1/2).  A vertex v lies on the side with centre c
-exactly when v . c = 1.
+(+-1/2, +-1/2, +-1/2, +-1/2).
 
 In the hyperboloid model (see moebius) the side with centre c is the
-integer spacelike vector (c, 1) and the ideal vertex v is the light ray of
-the primitive integer vector of (2v, 2), so a side pairing's Lorentz matrix
-acts on sides and vertices by integer lookups.
+integer vector n = (c, 1) of Lorentz norm 1 and the ideal vertex v is the
+light ray of u = ``light_vector(v)``.  Incidences are Lorentz
+orthogonalities: v lies on the side n exactly when <u, n> = 0 (v . c = 1),
+and two sides meet in a right-angled ridge exactly when <n, n'> = 0
+(c . c' = 1).  A side pairing's Lorentz matrix acts on sides and vertices by
+integer lookups.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from .moebius import Sphere, lorentz_apply, vdot, vec
+from .moebius import lorentz_apply, lorentz_dot, light_vector, primitive
 
 # Side labels in table order.  The primed side of each letter pair is the
 # image of the unprimed one under the reference pairing code (146928), which
@@ -32,30 +33,30 @@ SIDE_ORDER = (
 )
 
 SIDE_CENTERS = {
-    "A": vec(1, 1, 0, 0),
-    "A'": vec(-1, 1, 0, 0),
-    "B": vec(1, -1, 0, 0),
-    "B'": vec(-1, -1, 0, 0),
-    "C": vec(1, 0, 1, 0),
-    "C'": vec(1, 0, -1, 0),
-    "D": vec(-1, 0, 1, 0),
-    "D'": vec(-1, 0, -1, 0),
-    "E": vec(0, 1, 1, 0),
-    "E'": vec(0, -1, -1, 0),
-    "F": vec(0, 1, -1, 0),
-    "F'": vec(0, -1, 1, 0),
-    "G": vec(1, 0, 0, 1),
-    "G'": vec(-1, 0, 0, -1),
-    "H": vec(1, 0, 0, -1),
-    "H'": vec(-1, 0, 0, 1),
-    "I": vec(0, 1, 0, 1),
-    "I'": vec(0, -1, 0, 1),
-    "J": vec(0, 1, 0, -1),
-    "J'": vec(0, -1, 0, -1),
-    "K": vec(0, 0, 1, 1),
-    "K'": vec(0, 0, 1, -1),
-    "L": vec(0, 0, -1, 1),
-    "L'": vec(0, 0, -1, -1),
+    "A": (1, 1, 0, 0),
+    "A'": (-1, 1, 0, 0),
+    "B": (1, -1, 0, 0),
+    "B'": (-1, -1, 0, 0),
+    "C": (1, 0, 1, 0),
+    "C'": (1, 0, -1, 0),
+    "D": (-1, 0, 1, 0),
+    "D'": (-1, 0, -1, 0),
+    "E": (0, 1, 1, 0),
+    "E'": (0, -1, -1, 0),
+    "F": (0, 1, -1, 0),
+    "F'": (0, -1, 1, 0),
+    "G": (1, 0, 0, 1),
+    "G'": (-1, 0, 0, -1),
+    "H": (1, 0, 0, -1),
+    "H'": (-1, 0, 0, 1),
+    "I": (0, 1, 0, 1),
+    "I'": (0, -1, 0, 1),
+    "J": (0, 1, 0, -1),
+    "J'": (0, -1, 0, -1),
+    "K": (0, 0, 1, 1),
+    "K'": (0, 0, 1, -1),
+    "L": (0, 0, -1, 1),
+    "L'": (0, 0, -1, -1),
 }
 
 SIDE_INDEX = {label: i for i, label in enumerate(SIDE_ORDER)}
@@ -65,7 +66,6 @@ SIDE_INDEX = {label: i for i, label in enumerate(SIDE_ORDER)}
 class Side:
     label: str
     center: tuple
-    sphere: Sphere
 
 
 @dataclass(frozen=True)
@@ -88,40 +88,46 @@ class EdgeFace:
 
 class Polytope24:
     def __init__(self):
-        self.sides = {
-            label: Side(label, c, Sphere(c, Fraction(1)))
-            for label, c in SIDE_CENTERS.items()
-        }
-        for side in self.sides.values():
-            if vdot(side.center, side.center) != 2:
-                raise AssertionError("side centre must have squared norm 2")
+        self.sides = {label: Side(label, c) for label, c in SIDE_CENTERS.items()}
+        self.side_vectors = {label: c + (1,) for label, c in SIDE_CENTERS.items()}
+        if any(lorentz_dot(n, n) != 1 for n in self.side_vectors.values()):
+            raise AssertionError("side centre must have squared norm 2")
+        self._side_by_vector = {n: lab for lab, n in self.side_vectors.items()}
 
-        units = []
-        for i in range(4):
-            for s in (1, -1):
-                units.append(vec(*(s if j == i else 0 for j in range(4))))
+        units = [
+            tuple(Fraction(s if j == i else 0) for j in range(4))
+            for i in range(4)
+            for s in (1, -1)
+        ]
         halves = [
             tuple(Fraction(s, 2) for s in signs)
             for signs in itertools.product((1, -1), repeat=4)
         ]
         self.vertices = tuple(sorted(units + halves, reverse=True))
-        if any(vdot(v, v) != 1 for v in self.vertices):
+        self.vertex_vectors = tuple(light_vector(v) for v in self.vertices)
+        if any(lorentz_dot(u, u) != 0 for u in self.vertex_vectors):
             raise AssertionError("ideal vertices must lie on S^3")
+        self._vertex_by_vector = {u: i for i, u in enumerate(self.vertex_vectors)}
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
 
         self.vertex_sides = {
             v: frozenset(
-                lab for lab, s in self.sides.items() if vdot(v, s.center) == 1
+                lab for lab, n in self.side_vectors.items() if lorentz_dot(u, n) == 0
             )
-            for v in self.vertices
+            for v, u in zip(self.vertices, self.vertex_vectors)
         }
         self.side_vertices = {
             lab: tuple(v for v in self.vertices if lab in self.vertex_sides[v])
             for lab in SIDE_ORDER
         }
+        self.side_vertex_indices = {
+            lab: tuple(self.vertex_index[v] for v in vs)
+            for lab, vs in self.side_vertices.items()
+        }
 
         ridges = []
         for la, lb in itertools.combinations(SIDE_ORDER, 2):
-            if vdot(self.sides[la].center, self.sides[lb].center) == 1:
+            if lorentz_dot(self.side_vectors[la], self.side_vectors[lb]) == 0:
                 verts = tuple(
                     v for v in self.side_vertices[la]
                     if lb in self.vertex_sides[v]
@@ -145,21 +151,6 @@ class Polytope24:
             self.neighbours[la].add(lb)
             self.neighbours[lb].add(la)
 
-        self.side_vectors = {
-            lab: tuple(int(x) for x in s.center) + (1,)
-            for lab, s in self.sides.items()
-        }
-        self._side_by_vector = {w: lab for lab, w in self.side_vectors.items()}
-        self.vertex_vectors = tuple(
-            _primitive(tuple(int(2 * x) for x in v) + (2,)) for v in self.vertices
-        )
-        self._vertex_by_vector = {w: i for i, w in enumerate(self.vertex_vectors)}
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self.side_vertex_indices = {
-            lab: tuple(self.vertex_index[v] for v in vs)
-            for lab, vs in self.side_vertices.items()
-        }
-
     def side_of_vector(self, w):
         """Label of the side whose Lorentz vector is +-w, or None.
 
@@ -174,7 +165,7 @@ class Polytope24:
     def vertex_of_vector(self, w):
         """Index of the ideal vertex on the light ray of the integer vector
         w, or None."""
-        return self._vertex_by_vector.get(_primitive(w))
+        return self._vertex_by_vector.get(primitive(w))
 
     def side_image(self, matrix, label):
         """Label of the side an integer Lorentz matrix carries side
@@ -203,11 +194,6 @@ class Polytope24:
 
     def adjacent(self, la: str, lb: str) -> bool:
         return lb in self.neighbours[la]
-
-
-def _primitive(w):
-    g = gcd(*w)
-    return tuple(x // g for x in w)
 
 
 @lru_cache(maxsize=1)

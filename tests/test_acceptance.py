@@ -13,7 +13,7 @@ from itertools import combinations
 import reference_tables as rt
 from cell24 import census, cover, cusps, groups, kirby
 from cell24.groups import word_from_str, word_str
-from cell24.moebius import TRANSLATION, vec
+from cell24.moebius import TRANSLATION
 
 
 def report(n, text):
@@ -84,10 +84,10 @@ def test_criterion_04_orientation(eps, cycles):
 def test_criterion_05_cusps(pairings, cusp_classes):
     assert len(cusp_classes) == 5
     published = [
-        ({vec(1, 0, 0, 0), vec(-1, 0, 0, 0)}, "c"),
-        ({vec(0, 1, 0, 0), vec(0, -1, 0, 0)}, "a"),
-        ({vec(0, 0, 1, 0), vec(0, 0, -1, 0)}, "k"),
-        ({vec(0, 0, 0, 1), vec(0, 0, 0, -1)}, "i"),
+        ({(1, 0, 0, 0), (-1, 0, 0, 0)}, "c"),
+        ({(0, 1, 0, 0), (0, -1, 0, 0)}, "a"),
+        ({(0, 0, 1, 0), (0, 0, -1, 0)}, "k"),
+        ({(0, 0, 0, 1), (0, 0, 0, -1)}, "i"),
     ]
     class_sets = [set(c.vertices) for c in cusp_classes]
     for members, _ in published:

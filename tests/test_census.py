@@ -2,11 +2,11 @@ from collections import Counter
 
 import pytest
 
+import moebius_oracle as oracle
 import reference_tables as rt
 from cell24 import census, cover, groups
 from cell24.census import InvalidCode, ParseError, PoincareViolation
 from cell24.groups import word_str
-from cell24.moebius import vec
 from cell24.polytope import build_polytope
 
 
@@ -44,23 +44,28 @@ def test_pairings_match_published_display(pairings):
     by_letter = {p.letter: p for p in pairings}
     for letter, src, k, tgt in rt.PAIRING_DISPLAY:
         p = by_letter[letter]
-        assert p.source.center == vec(*src)
+        assert p.source.center == src
         assert p.kpart == k
-        assert p.target.center == vec(*tgt)
+        assert p.target.center == tgt
 
 
 def test_pairing_words_map_spheres(pairings):
+    # The six ideal vertices of the source side go onto those of the target
+    # side (so the source sphere onto the target sphere), and back.
+    poly = build_polytope()
     for p in pairings:
-        assert p.word.gensphere(p.source.sphere) == p.target.sphere
-        assert p.word.inverse().gensphere(p.target.sphere) == p.source.sphere
+        src, tgt = poly.side_vertices[p.source.label], poly.side_vertices[p.target.label]
+        assert {oracle.pairing_point(p, v) for v in src} == set(tgt)
+        assert {oracle.pairing_point(p, v, -1) for v in tgt} == set(src)
+        assert {poly.vertex_image(p.word.lorentz(), v) for v in src} == set(tgt)
 
 
 def test_example_arrows(pairings):
     by_letter = {p.letter: p for p in pairings}
-    assert by_letter["e"].source.center == vec(0, 1, 1, 0)
-    assert by_letter["e"].target.center == vec(0, -1, -1, 0)
-    assert by_letter["g"].source.center == vec(1, 0, 0, 1)
-    assert by_letter["g"].target.center == vec(-1, 0, 0, -1)
+    assert by_letter["e"].source.center == (0, 1, 1, 0)
+    assert by_letter["e"].target.center == (0, -1, -1, 0)
+    assert by_letter["g"].source.center == (1, 0, 0, 1)
+    assert by_letter["g"].target.center == (-1, 0, 0, -1)
 
 
 def test_orientation_character(pairings, eps, cycles):
@@ -127,7 +132,8 @@ def test_edge_faces_map_to_edge_faces(pairings):
     for face in poly.edge_faces:
         for side_label in face.sides:
             mv = moves[side_label]
-            image = frozenset(mv.word.point(v) for v in face.vertices)
+            move = ((mv.letter, mv.sign),)
+            image = frozenset(oracle.word_point(move, pairings, v) for v in face.vertices)
             assert image in poly.edge_face_by_vertices
 
 

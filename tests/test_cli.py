@@ -224,4 +224,15 @@ def test_no_reversing_letter_is_a_usage_error(capsys):
             "usage error: the code has no orientation-reversing letter to glue "
             "the double cover along\n"
         )
-    assert run(capsys, "invariants", "112124", "--stage", "base")[0] == 0
+
+
+def test_invariants_require_a_manifold(capsys):
+    # 112124 has ridge cycles of length 2: its base report names the failed
+    # gluing check instead of printing invariants of a non-manifold.
+    code, out, err = run(capsys, "invariants", "112124", "--stage", "base")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: not a manifold gluing: the ridge cycles check fails "
+        "(32 cycles, lengths {2: 16, 4: 16}, ridges partitioned)\n"
+    )

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import moebius_oracle as oracle
 import reference_tables as rt
 from cell24 import census, cover, groups
 from cell24.exact import QS2
@@ -14,7 +15,7 @@ def test_cover_structure(double_cover):
     assert len(nontrivial) == 23
     wall = double_cover.wall_pairing()
     assert wall.name == "g⁻¹g"
-    assert len(wall.word) == 0
+    assert wall.word.is_identity()
     assert wall.source == (0, "G") and wall.target == (1, "G'")
 
 
@@ -36,23 +37,28 @@ def test_alpha_must_reverse(pairings, eps):
 
 
 def test_cover_words_map_spheres(double_cover):
-    # Each pairing word carries the source side's sphere (as a subset of the
-    # doubled domain) onto the target's: conjugate the base spheres through
-    # the sheet identification.
+    # Each pairing word carries the six ideal vertices of the source side
+    # (as a subset of the doubled domain, whose sheet 1 is the copy
+    # alpha^-1(P)) onto those of the target side, and its matrix is the
+    # fold of its base word.
     from cell24.polytope import build_polytope
 
     poly = build_polytope()
-    alpha_word = next(
-        p for p in double_cover.base_pairings if p.letter == double_cover.alpha
-    ).word
+    alpha_inv = ((double_cover.alpha, -1),)
+    base = double_cover.base_pairings
 
-    def sphere_of(side):
+    def vertices_of(side):
         sheet, label = side
-        s = poly.sides[label].sphere
-        return s if sheet == 0 else alpha_word.inverse().gensphere(s)
+        vs = poly.side_vertices[label]
+        if sheet == 0:
+            return set(vs)
+        return {oracle.word_point(alpha_inv, base, v) for v in vs}
 
     for p in double_cover.pairings:
-        assert p.word.gensphere(sphere_of(p.source)) == sphere_of(p.target)
+        base_word = cover._name_as_base_word(p, double_cover.alpha)
+        images = {oracle.word_point(base_word, base, v) for v in vertices_of(p.source)}
+        assert images == vertices_of(p.target)
+        assert p.word == census.word_isometry(base_word, base)
 
 
 def test_cover_pairings_preserve_orientation(double_cover, eps):
@@ -194,23 +200,28 @@ def test_cover_edge_classes(double_cover):
     # Every orbit is closed under the cover pairing words, acting on the
     # doubled domain whose sheet 1 is the copy alpha^-1(P).
     poly = build_polytope()
-    alpha = next(
-        p.word for p in double_cover.base_pairings if p.letter == double_cover.alpha
-    )
+    base = double_cover.base_pairings
+    alpha = ((double_cover.alpha, 1),)
+    alpha_inv = ((double_cover.alpha, -1),)
     orbit_of = {face: k for k, orbit in enumerate(orbits) for face in orbit}
     for p in double_cover.pairings:
+        base_word = cover._name_as_base_word(p, double_cover.alpha)
         for (sheet, label), (image_sheet, _), word in (
-            (p.source, p.target, p.word),
-            (p.target, p.source, p.word.inverse()),
+            (p.source, p.target, base_word),
+            (p.target, p.source, groups.word_inverse(base_word)),
         ):
             for face in poly.edge_faces:
                 if label not in face.sides:
                     continue
                 moved = (
-                    word.point(v if sheet == 0 else alpha.inverse().point(v))
+                    oracle.word_point(
+                        word, base, v if sheet == 0 else oracle.word_point(alpha_inv, base, v)
+                    )
                     for v in face.vertices
                 )
-                image = frozenset(q if image_sheet == 0 else alpha.point(q) for q in moved)
+                image = frozenset(
+                    q if image_sheet == 0 else oracle.word_point(alpha, base, q) for q in moved
+                )
                 assert orbit_of[(image_sheet, image)] == orbit_of[(sheet, face.vertices)]
 
 

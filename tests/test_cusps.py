@@ -1,9 +1,20 @@
+import random
 from fractions import Fraction
 
+import moebius_oracle as oracle
 import reference_tables as rt
 from cell24 import census, cusps, flat3
-from cell24.groups import word_from_str, word_str
-from cell24.moebius import TRANSLATION, classify_parabolic, vec
+from cell24.groups import word_from_str, word_inverse, word_mul, word_str
+from cell24.moebius import (
+    TRANSLATION,
+    affine_parts,
+    classify_parabolic,
+    light_vector,
+    lorentz_dot,
+)
+from cell24.polytope import build_polytope
+
+HALF = Fraction(1, 2)
 
 
 def test_five_classes(cusp_classes):
@@ -15,33 +26,35 @@ def test_five_classes(cusp_classes):
 
 def test_class_membership(cusp_classes):
     by_rep = {c.representative: c for c in cusp_classes}
-    half = by_rep[vec(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))]
+    half = by_rep[(HALF, HALF, HALF, HALF)]
     assert len(half) == 16
-    assert all(all(abs(x) == Fraction(1, 2) for x in v) for v in half.vertices)
-    zpair = by_rep[vec(0, 0, 1, 0)]
-    assert set(zpair.vertices) == {vec(0, 0, 1, 0), vec(0, 0, -1, 0)}
+    assert all(all(abs(x) == HALF for x in v) for v in half.vertices)
+    zpair = by_rep[(0, 0, 1, 0)]
+    assert set(zpair.vertices) == {(0, 0, 1, 0), (0, 0, -1, 0)}
     # the published table's vertex pairs all appear as classes
     for members, _word in rt.FILLING_TABLE[:-1]:
-        reps = {frozenset(vec(*m) for m in members)}
+        reps = {frozenset(tuple(m) for m in members)}
         assert any(frozenset(c.vertices) in reps for c in cusp_classes)
 
 
 def test_tree_words_move_vertices(pairings, cusp_classes):
     for cls in cusp_classes:
         for v, word in cls.tree_words.items():
-            assert census.word_isometry(word, pairings).point(v) == cls.representative
+            assert oracle.word_point(word, pairings, v) == cls.representative
 
 
 def test_stabilizer_generators_fix_representative(pairings, stabilizers):
     for stab in stabilizers:
         assert stab.generators
-        for _word, moebius in stab.generators:
-            assert moebius.point(stab.cusp.representative) == stab.cusp.representative
+        rep = stab.cusp.representative
+        for word, moebius in stab.generators:
+            assert oracle.word_point(word, pairings, rep) == rep
+            assert moebius == census.word_isometry(word, pairings)
 
 
 def test_letter_a_in_stabilizer(stabilizers):
     stab = next(
-        s for s in stabilizers if s.cusp.representative == vec(0, 1, 0, 0)
+        s for s in stabilizers if s.cusp.representative == (0, 1, 0, 0)
     )
     words = {w for w, _ in stab.generators}
     assert word_from_str("a") in words
@@ -50,11 +63,11 @@ def test_letter_a_in_stabilizer(stabilizers):
 def test_translation_c_found(pairings, stabilizers):
     choices = cusps.find_filling_translations(pairings, stabilizers)
     by_rep = {c.cusp.representative: c for c in choices}
-    assert by_rep[vec(1, 0, 0, 0)].chosen == word_from_str("c")
-    assert by_rep[vec(0, 1, 0, 0)].chosen == word_from_str("a")
-    assert by_rep[vec(0, 0, 1, 0)].chosen == word_from_str("k")
-    assert by_rep[vec(0, 0, 0, 1)].chosen == word_from_str("i")
-    half = by_rep[vec(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))]
+    assert by_rep[(1, 0, 0, 0)].chosen == word_from_str("c")
+    assert by_rep[(0, 1, 0, 0)].chosen == word_from_str("a")
+    assert by_rep[(0, 0, 1, 0)].chosen == word_from_str("k")
+    assert by_rep[(0, 0, 0, 1)].chosen == word_from_str("i")
+    half = by_rep[(HALF, HALF, HALF, HALF)]
     assert half.chosen is not None
     assert len(half.chosen) <= 4
 
@@ -72,15 +85,15 @@ def test_published_alternate_j(pairings, cusp_classes):
     assert len(alts) == 1
     alt = alts[0]
     assert word_str(alt.word) == "j"
-    assert alt.cusp.representative == vec(0, 0, 0, 1)
+    assert alt.cusp.representative == (0, 0, 0, 1)
     assert alt.classification == TRANSLATION
 
 
 def test_half_cusp_word_is_translation(pairings):
-    word = census.word_isometry(word_from_str("EheH"), pairings)
-    fixed = vec(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    assert word.point(fixed) == fixed
-    assert classify_parabolic(word, fixed) == TRANSLATION
+    word = word_from_str("EheH")
+    fixed = (-HALF, HALF, HALF, HALF)
+    assert oracle.word_point(word, pairings, fixed) == fixed
+    assert classify_parabolic(census.word_isometry(word, pairings), fixed) == TRANSLATION
 
 
 def test_cusp_invariants(pairings, eps, stabilizers):
@@ -100,15 +113,12 @@ def test_cusp_invariants(pairings, eps, stabilizers):
     half = next(
         inv
         for inv in invs
-        if inv.representative
-        == vec(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+        if inv.representative == (HALF, HALF, HALF, HALF)
     )
     assert half.label == "B2"
 
 
 def test_eps_restricted_is_homomorphism(pairings, eps, stabilizers):
-    from cell24.groups import word_mul
-
     for stab in stabilizers[:2]:
         words = [w for w, _ in stab.generators][:4]
         for w1 in words:
@@ -150,8 +160,6 @@ def test_flat_reference_table_separates_types():
 def test_vertex_class_graph_is_pairing_orbit(pairings, cusp_classes):
     # Applying any pairing move at a vertex lands inside the vertex's class.
     poly_moves = census.moves_by_side(pairings)
-    from cell24.polytope import build_polytope
-
     poly = build_polytope()
     by_vertex = {}
     for cls in cusp_classes:
@@ -159,5 +167,70 @@ def test_vertex_class_graph_is_pairing_orbit(pairings, cusp_classes):
             by_vertex[v] = cls
     for v in poly.vertices:
         for side_label in poly.vertex_sides[v]:
-            image = poly_moves[side_label].word.point(v)
+            mv = poly_moves[side_label]
+            image = oracle.word_point(((mv.letter, mv.sign),), pairings, v)
             assert by_vertex[image] is by_vertex[v]
+
+
+def horosphere_coords(u):
+    """Coordinates on {x : <x, u> = 1} / R u in the frame that
+    ``affine_parts`` documents (origin w0 = +-e_i, basis p(e_j) for j not in
+    {i, d}), found by solving in that basis modulo u."""
+    form = (1, 1, 1, 1, -1)
+    i, d = [k for k in range(5) if u[k] in (1, -1)][:2]
+    w0 = tuple(form[i] * u[i] * (k == i) for k in range(5))
+    basis = [
+        tuple((k == j) - form[j] * u[j] * w0[k] for k in range(5))
+        for j in range(5)
+        if j not in (i, d)
+    ]
+
+    solve = oracle.solver(basis + [u])
+
+    def coords(x):
+        return tuple(solve([a - b for a, b in zip(x, w0)])[:3])
+
+    return coords
+
+
+def test_affine_parts_match_point_oracle(sample_codes):
+    # On 146928 and every manifold among the sample codes, each stabilizer
+    # generator w acts on the horosphere at its cusp as x -> Q x + t:
+    # coords(l(w.x)) = Q coords(l(x)) + t with l(x) = (x, 1) / <(x, 1), u>,
+    # w.x from the point oracle, for rational points x of S^3 other than v
+    # (three ideal vertices and a random point).
+    # The generators are also conjugated by the tree words to every other
+    # vertex of the class, so that every sign pattern of u occurs.
+    poly = build_polytope()
+    points = oracle.sphere_points(random.Random(29), 1)
+    codes = ["146928"] + [c for c in sample_codes if census.validate(c).ok]
+    checked = 0
+    for code in codes:
+        pairings = census.build_pairings(census.parse_code(code))
+        for cls in cusps.vertex_classes(pairings):
+            gens = [w for w, _ in cusps.stabilizer_generators(cls, pairings).generators]
+            for v in cls.vertices:
+                tree = cls.tree_words[v]
+                words = gens if v == cls.representative else [
+                    word_mul(word_inverse(tree), g, tree) for g in gens[:1]
+                ]
+                u = light_vector(v)
+                coords = horosphere_coords(u)
+
+                def ell(x):
+                    x = tuple(x) + (1,)
+                    return tuple(Fraction(c, lorentz_dot(x, u)) for c in x)
+
+                # Four points in general position fix an affine map of 3-space.
+                others = [x for x in poly.vertices if x != v][:3] + points
+                before = [coords(ell(x)) for x in others]
+                for word in words:
+                    q, t = affine_parts(census.word_isometry(word, pairings), v)
+                    assert all(type(x) is int for x in t + sum(q, ()))
+                    for x, cx in zip(others, before):
+                        image = coords(ell(oracle.word_point(word, pairings, x)))
+                        assert image == tuple(
+                            sum(q[r][c] * cx[c] for c in range(3)) + t[r] for r in range(3)
+                        )
+                    checked += 1
+    assert len(codes) > 10 and checked > 500

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cell24.exact import QS2, SQRT2, qs2_parse, rat_rank, rat_solve
+from cell24.exact import QS2, SQRT2
 
 
 def test_field_examples():
@@ -63,24 +63,12 @@ def test_sign_is_multiplicative():
         assert x.sign() * y.sign() == (x * y).sign()
 
 
-def test_text_roundtrip():
-    rng = random.Random(17)
+def test_text_form():
     cases = [QS2(0), QS2(3), QS2(0, 1), QS2(0, -1), QS2(1, 1), QS2(-1, Fraction(-3, 4))]
-    cases += [_random_qs2(rng) for _ in range(200)]
-    for x in cases:
-        assert qs2_parse(str(x)) == x
+    assert [str(x) for x in cases] == ["0", "3", "sqrt2", "-sqrt2", "1 + sqrt2", "-1 - 3/4*sqrt2"]
 
 
 def test_ordering():
     assert QS2(1, 1) > QS2(2, 0)           # 1 + sqrt2 > 2
     assert QS2(1, -1) < QS2(0, 0)
     assert sorted([QS2(3), QS2(1, 1), QS2(0, 2)]) == [QS2(1, 1), QS2(0, 2), QS2(3)]
-
-
-def test_rat_rank_and_solve():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert rat_rank(rows) == 1
-    a = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
-    assert rat_solve(a, [Fraction(4), Fraction(9)]) == [Fraction(2), Fraction(3)]
-    with pytest.raises(ValueError):
-        rat_solve([[Fraction(1)], [Fraction(1)]], [Fraction(0), Fraction(1)])

@@ -4,109 +4,120 @@ from fractions import Fraction
 
 import pytest
 
-from cell24.exact import rat_rank
-from cell24.moebius import (
-    INF,
-    IDENTITY_CLASS,
-    OTHER_PARABOLIC_OR_ELLIPTIC,
-    TRANSLATION,
-    Inversion,
-    MoebiusWord,
-    Plane,
-    PlaneReflect,
-    SignFlip,
-    Sphere,
-    classify_parabolic,
-    conjugate_to_infinity,
-    vdot,
-    vec,
-    vsub,
-)
-from cell24.polytope import build_polytope
+import moebius_oracle as oracle
 from cell24 import census
 from cell24.groups import word_from_str
+from cell24.moebius import (
+    IDENTITY_CLASS,
+    LORENTZ_IDENTITY,
+    OTHER_PARABOLIC_OR_ELLIPTIC,
+    TRANSLATION,
+    MoebiusWord,
+    classify_parabolic,
+    diagonal,
+    light_vector,
+    lorentz_apply,
+    lorentz_dot,
+    lorentz_mul,
+    reflection,
+)
+from cell24.polytope import build_polytope
+
+HALF = Fraction(1, 2)
 
 
 def test_sign_flip_point():
-    m = SignFlip((-1, 1, 1, 1))
-    assert m.point(vec(1, 1, 0, 0)) == vec(-1, 1, 0, 0)
-    assert m.point(INF) is INF
+    k = (-1, 1, 1, 1)
+    assert oracle.flip(k, (1, 1, 0, 0)) == (-1, 1, 0, 0)
+    assert oracle.flip(k, oracle.INF) == oracle.INF
+    # diag(k, 1) carries side A = (1,1,0,0) onto A' = (-1,1,0,0)
+    poly = build_polytope()
+    assert poly.side_image(diagonal(k), "A") == "A'"
 
 
 def test_inversion_center_and_fixed_point():
-    inv = Inversion(Sphere(vec(1, 1, 0, 0), Fraction(1)))
-    assert inv.point(vec(1, 1, 0, 0)) is INF
-    assert inv.point(INF) == vec(1, 1, 0, 0)
+    c = (1, 1, 0, 0)
+    assert oracle.invert(c, 1, c) == oracle.INF
+    assert oracle.invert(c, 1, oracle.INF) == c
     # (1,0,0,0) is on the sphere, hence fixed
-    assert inv.point(vec(1, 0, 0, 0)) == vec(1, 0, 0, 0)
+    assert oracle.invert(c, 1, (1, 0, 0, 0)) == (1, 0, 0, 0)
+    # and the reflection in (c, 1) fixes its light vector
+    u = light_vector((1, 0, 0, 0))
+    assert lorentz_apply(reflection(c + (1,)), u) == u
 
 
 def test_pairing_a_moves_side_spheres(pairings):
     poly = build_polytope()
     a = next(p for p in pairings if p.letter == "a")
-    assert a.word.gensphere(poly.sides["C"].sphere) == poly.sides["D"].sphere
-    assert a.word.gensphere(poly.sides["E"].sphere) == poly.sides["E"].sphere
-    s = poly.sides["K"].sphere
-    assert MoebiusWord(()).gensphere(s) == s
+    assert poly.side_image(a.word.lorentz(), "C") == "D"
+    assert poly.side_image(a.word.lorentz(), "E") == "E"
+    for side, image in (("C", "D"), ("E", "E")):
+        points = [oracle.pairing_point(a, v) for v in poly.side_vertices[side]]
+        assert oracle.side_of_points(points, poly) == image
+    assert poly.side_image(MoebiusWord().lorentz(), "K") == "K"
 
 
 def test_atomic_involutions():
     rng = random.Random(3)
     atoms = [
-        Inversion(Sphere(vec(1, 0, 0, 1), Fraction(1))),
-        Inversion(Sphere(vec(0, 2, 0, 0), Fraction(3))),
-        SignFlip((-1, 1, -1, 1)),
-        PlaneReflect(Plane(vec(1, 2, 0, 0), Fraction(1))),
+        lambda p: oracle.invert((1, 0, 0, 1), 1, p),
+        lambda p: oracle.invert((0, 2, 0, 0), 3, p),
+        lambda p: oracle.flip((-1, 1, -1, 1), p),
     ]
     for atom in atoms:
         for _ in range(100):
-            p = vec(*(Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(4)))
-            w = MoebiusWord((atom, atom))
-            assert w.point(p) == p
+            p = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(4))
+            assert atom(atom(p)) == p
+    poly = build_polytope()
+    for n in poly.side_vectors.values():
+        assert lorentz_mul(reflection(n), reflection(n)) == LORENTZ_IDENTITY
+    k = diagonal((-1, 1, -1, 1))
+    assert lorentz_mul(k, k) == LORENTZ_IDENTITY
 
 
 def test_sphere_point_compatibility(pairings):
-    # p on s iff w(p) on w(s), for random words in the pairing letters
+    # p on s iff w(p) on w(s), for random words in the pairing letters: the
+    # oracle's image point lies on the sphere of the matrix's image vector.
     rng = random.Random(5)
     poly = build_polytope()
-    words = [p.word for p in pairings]
+    letters = [p.letter for p in pairings]
     for _ in range(50):
-        w = MoebiusWord(())
-        for _ in range(rng.randint(1, 6)):
-            factor = rng.choice(words)
-            if rng.random() < 0.5:
-                factor = factor.inverse()
-            w = w * factor
-        side = poly.sides[rng.choice(list(poly.sides))]
-        p = rng.choice(poly.side_vertices[side.label])
-        assert side.sphere.contains(p)
-        image_sphere = w.gensphere(side.sphere)
-        assert image_sphere.contains(w.point(p))
+        word = tuple(
+            (rng.choice(letters), rng.choice((1, -1))) for _ in range(rng.randint(1, 6))
+        )
+        m = census.word_isometry(word, pairings).lorentz()
+        label = rng.choice(list(poly.sides))
+        p = rng.choice(poly.side_vertices[label])
+        assert oracle.on_sphere(poly.sides[label].center, p)
+        image = oracle.word_point(word, pairings, p)
+        assert lorentz_dot(image + (1,), lorentz_apply(m, poly.side_vectors[label])) == 0
 
 
 def test_inversion_nondegeneracy_on_census_sides():
     poly = build_polytope()
     centers = [s.center for s in poly.sides.values()]
     for c1, c2 in itertools.combinations(centers, 2):
-        d = vsub(c1, c2)
-        q = vdot(d, d) - 1
+        d = [a - b for a, b in zip(c1, c2)]
+        q = oracle.dot(d, d) - 1
         assert q in (1, 3, 5, 7)
 
 
 def test_is_identity_basics(pairings):
-    assert MoebiusWord(()).is_identity()
-    inv = Inversion(Sphere(vec(1, 1, 0, 0), Fraction(1)))
-    assert MoebiusWord((inv, inv)).is_identity()
-    assert not MoebiusWord((inv,)).is_identity()
+    assert MoebiusWord().is_identity()
+    r = MoebiusWord(reflection((1, 1, 0, 0, 1)))
+    assert (r * r).is_identity()
+    assert not r.is_identity()
+    a = pairings[0].word
+    assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
 
 
 def test_cycle_relator_identity_with_vertex_oracle(pairings, cycles):
-    # The first cycle's composed word fixes all 24 ideal vertices, an
-    # independent check of the Lorentz-matrix certificate.
+    # The first cycle's relator fixes all 24 ideal vertices, an independent
+    # check of the Lorentz-matrix certificate.
     poly = build_polytope()
-    word = census.cycle_moebius_word(cycles[0], pairings)
-    assert all(word.point(v) == v for v in poly.vertices)
-    assert word.is_identity()
+    relator = cycles[0].relator
+    assert all(oracle.word_point(relator, pairings, v) == v for v in poly.vertices)
+    assert census.cycle_moebius_word(cycles[0], pairings).is_identity()
 
 
 def test_is_identity_conjugation_invariant(pairings):
@@ -118,41 +129,33 @@ def test_is_identity_conjugation_invariant(pairings):
 
 
 def test_conjugate_to_infinity():
-    v = vec(1, 0, 0, 0)
-    sigma = conjugate_to_infinity(v)
-    assert sigma.point(v) is INF
-    assert sigma.point(vec(-1, 0, 0, 0)) == vec(Fraction(1, 2), 0, 0, 0)
-    with pytest.raises(ValueError):
-        conjugate_to_infinity(vec(1, 1, 0, 0))
+    # Inversion in the unit sphere centred at a point v of S^3 sends v to
+    # infinity and -v to v/2.
+    v = (1, 0, 0, 0)
+    assert oracle.invert(v, 1, v) == oracle.INF
+    assert oracle.invert(v, 1, (-1, 0, 0, 0)) == (HALF, 0, 0, 0)
 
 
 def test_conjugated_sphere_points_are_coplanar():
-    # Images of generic S^3 points under the conjugation all satisfy
+    # Images of generic S^3 points under that inversion all satisfy
     # x . v = 1/2 (exact coplanarity oracle via rank).
-    v = vec(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    sigma = conjugate_to_infinity(v)
-    pts = [
-        vec(1, 0, 0, 0),
-        vec(0, -1, 0, 0),
-        vec(0, 0, 1, 0),
-        vec(Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)),
-    ]
-    images = [sigma.point(p) for p in pts]
+    v = (HALF, HALF, HALF, HALF)
+    pts = [(1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (HALF, -HALF, HALF, HALF)]
+    images = [oracle.invert(v, 1, p) for p in pts]
     for q in images:
-        assert vdot(q, v) == Fraction(1, 2)
-    rows = [list(vsub(q, images[0])) for q in images[1:]]
-    assert rat_rank(rows) <= 3
+        assert oracle.dot(q, v) == HALF
+    rows = [[a - b for a, b in zip(q, images[0])] for q in images[1:]]
+    assert oracle.rank(rows) <= 3
 
 
 def test_classify_parabolic(pairings):
     a = next(p for p in pairings if p.letter == "a")
-    assert classify_parabolic(a.word, vec(0, 1, 0, 0)) == TRANSLATION
+    assert classify_parabolic(a.word, (0, 1, 0, 0)) == TRANSLATION
     word = census.word_isometry(word_from_str("EheH"), pairings)
-    fixed = vec(Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    assert classify_parabolic(word, fixed) == TRANSLATION
-    assert classify_parabolic(MoebiusWord(()), vec(0, 1, 0, 0)) == IDENTITY_CLASS
+    assert classify_parabolic(word, (-HALF, HALF, HALF, HALF)) == TRANSLATION
+    assert classify_parabolic(MoebiusWord(), (0, 1, 0, 0)) == IDENTITY_CLASS
     with pytest.raises(ValueError):
-        classify_parabolic(a.word, vec(1, 0, 0, 0))
+        classify_parabolic(a.word, (1, 0, 0, 0))
 
 
 def test_classify_detects_rotation(pairings, eps, stabilizers):
@@ -168,9 +171,3 @@ def test_classify_detects_rotation(pairings, eps, stabilizers):
                 found += 1
                 break
     assert found == len(stabilizers)
-
-
-def test_word_text_form(pairings):
-    a = next(p for p in pairings if p.letter == "a")
-    text = str(a.word)
-    assert "Inv[" in text and "Diag[" in text

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
-from cell24.moebius import vdot, vec
+from cell24.moebius import lorentz_dot
 from cell24.polytope import SIDE_ORDER, build_polytope
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def test_counts():
@@ -16,16 +20,16 @@ def test_ridge_ac_vertices():
     poly = build_polytope()
     ridge = poly.ridge_by_sides[frozenset(("A", "C"))]
     expected = {
-        vec(1, 0, 0, 0),
-        vec(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
-        vec(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)),
+        (1, 0, 0, 0),
+        (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)),
     }
     assert set(ridge.vertices) == expected
     # brute-force oracle over the 24 vertices
     brute = {
         v
         for v in poly.vertices
-        if vdot(v, poly.sides["A"].center) == 1 and vdot(v, poly.sides["C"].center) == 1
+        if dot(v, poly.sides["A"].center) == 1 and dot(v, poly.sides["C"].center) == 1
     }
     assert brute == expected
 
@@ -71,7 +75,9 @@ def test_side_of_sphere():
 
 
 def test_orthogonality_normalisation():
-    # |c|^2 = 1 + R^2 for every side sphere, so they meet S^3 at right angles.
+    # |c|^2 = 1 + R^2 with R = 1 for every side sphere, so they meet S^3 at
+    # right angles; equivalently the vector (c, 1) has Lorentz norm 1.
     poly = build_polytope()
     for s in poly.sides.values():
-        assert vdot(s.center, s.center) == 1 + s.sphere.radius_sq
+        assert dot(s.center, s.center) == 1 + 1
+        assert lorentz_dot(poly.side_vectors[s.label], poly.side_vectors[s.label]) == 1
