@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
 
 from . import groups
@@ -102,10 +102,29 @@ class SidePairing:
         return self.letter
 
 
+@lru_cache(maxsize=None)
 def pairing_word(target_vector, kpart) -> MoebiusWord:
     # Reflection in the image side composed with the diagonal map, diagonal
     # applied first.
     return MoebiusWord(lorentz_mul(reflection(target_vector), diagonal(kpart)))
+
+
+@lru_cache(maxsize=None)
+def letter_inverse(word: MoebiusWord) -> MoebiusWord:
+    """The inverse of a pairing letter's isometry, computed once per matrix."""
+    return word.inverse()
+
+
+@lru_cache(maxsize=None)
+def _family_sides(poly: Polytope24):
+    """The four sides of each family, in ``FAMILIES`` order."""
+    return tuple(
+        tuple(
+            s for s in poly.sides.values()
+            if all((s.center[j] != 0) == (j in support) for j in range(4))
+        )
+        for _letters, support in FAMILIES
+    )
 
 
 def build_pairings(kvecs, polytope: Polytope24 | None = None):
@@ -118,11 +137,7 @@ def build_pairings(kvecs, polytope: Polytope24 | None = None):
     """
     poly = polytope or build_polytope()
     pairings = []
-    for k, (letters, support) in zip(kvecs, FAMILIES):
-        family_sides = [
-            s for s in poly.sides.values()
-            if all((s.center[j] != 0) == (j in support) for j in range(4))
-        ]
+    for k, (letters, _support), family_sides in zip(kvecs, FAMILIES, _family_sides(poly)):
         first_flip = next(j for j in range(4) if k[j] == -1)
         sources = sorted(
             (s for s in family_sides if s.center[first_flip] == 1),
@@ -160,11 +175,13 @@ class Move:
     """The unique pairing move leaving a given side: the pairing whose source
     it is, or the inverse of the pairing whose target it is.
 
-    ``sides`` and ``vertices`` are the move's exact action on the faces at
-    its side, read off its own word's Lorentz matrix (``Polytope24.action``):
-    side label -> image side label for the sides meeting it in a ridge, and
-    vertex index -> image vertex index for the ideal vertices on it, with
-    None for an image outside the side or vertex lattice.
+    ``sides``, ``vertices`` and ``faces`` are the move's exact action on
+    the faces at its side, read off its own word's Lorentz matrix
+    (``Polytope24.action``, shared by every move with that side and
+    matrix): side label -> image side label for the sides meeting it in a
+    ridge, vertex index -> image vertex index for the ideal vertices on it,
+    and edge-face index -> image edge-face index for the edge faces on it,
+    with None for an image outside the side, vertex or edge-face lattice.
     """
 
     letter: str
@@ -173,6 +190,7 @@ class Move:
     image: str  # label of the image side
     sides: dict
     vertices: dict
+    faces: dict
 
 
 def moves_by_side(pairings, polytope: Polytope24 | None = None):
@@ -181,10 +199,10 @@ def moves_by_side(pairings, polytope: Polytope24 | None = None):
     for p in pairings:
         for label, sign, word, image in (
             (p.source.label, 1, p.word, p.target.label),
-            (p.target.label, -1, p.word.inverse(), p.source.label),
+            (p.target.label, -1, letter_inverse(p.word), p.source.label),
         ):
-            sides, vertices = poly.action(label, word.lorentz())
-            moves[label] = Move(p.letter, sign, word, image, sides, vertices)
+            tables = poly.action(label, word.lorentz())
+            moves[label] = Move(p.letter, sign, word, image, *tables)
     if len(moves) != 24:
         raise InvalidCode("pairings do not cover the 24 sides as source/target")
     return moves
@@ -369,12 +387,13 @@ def ridge_cycles(pairings, polytope: Polytope24 | None = None):
 def word_isometry(word, pairings) -> MoebiusWord:
     """The isometry of a word over pairing names (SidePairing or cover
     pairings), composed under the left-action convention."""
+    if not word:
+        return MoebiusWord()
     by_name = {p.name: p.word for p in pairings}
-    out = MoebiusWord()
-    for sym, sign in word:
-        w = by_name[sym]
-        out = out * (w if sign == 1 else w.inverse())
-    return out
+    return MoebiusWord(reduce(lorentz_mul, [
+        (by_name[sym] if sign == 1 else letter_inverse(by_name[sym])).matrix
+        for sym, sign in word
+    ]))
 
 
 def cycle_moebius_word(cycle: RidgeCycle, pairings) -> MoebiusWord:
@@ -382,16 +401,10 @@ def cycle_moebius_word(cycle: RidgeCycle, pairings) -> MoebiusWord:
 
 
 @lru_cache(maxsize=None)
-def _face_plan(poly: Polytope24):
-    """Edge-face indices by ascending sorted vertex pair, and the indices
-    of the faces on each side."""
+def _face_order(poly: Polytope24):
+    """Edge-face indices by ascending sorted vertex pair."""
     faces = poly.edge_faces
-    order = tuple(sorted(range(len(faces)), key=lambda i: sorted(faces[i].vertices)))
-    on_side = {
-        label: tuple(i for i, f in enumerate(faces) if label in f.sides)
-        for label in SIDE_INDEX
-    }
-    return order, on_side
+    return tuple(sorted(range(len(faces)), key=lambda i: sorted(faces[i].vertices)))
 
 
 def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
@@ -404,7 +417,6 @@ def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
     poly = polytope or build_polytope()
     faces = poly.edge_faces
     n = len(faces)
-    order, on_side = _face_plan(poly)
     parent = list(range(n * domain.sheets))
 
     def find(x):
@@ -413,9 +425,8 @@ def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
             x = parent[x]
         return x
 
-    for (sheet, label), (name, _sign, image, mv) in domain.steps.items():
-        for i in on_side[label]:
-            j = poly.edge_face_at.get(frozenset(mv.vertices[v] for v in faces[i].ends))
+    for (sheet, _label), (name, _sign, image, mv) in domain.steps.items():
+        for i, j in mv.faces.items():
             if j is None:
                 raise PoincareViolation(
                     f"pairing {name} maps an edge face off the face lattice"
@@ -426,7 +437,7 @@ def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
 
     orbits = {}
     for sheet in range(domain.sheets):
-        for i in order:
+        for i in _face_order(poly):
             orbits.setdefault(find(sheet * n + i), []).append((sheet, faces[i].vertices))
     return [tuple(orbit) for orbit in orbits.values()]
 
@@ -468,14 +479,18 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def check_gluing(pairings, report: ValidationReport, polytope=None) -> bool:
+def check_gluing(pairings, report: ValidationReport, domain: Domain | None = None,
+                 polytope: Polytope24 | None = None):
     """Add the manifold gluing checks of the pairings to ``report``: ridge
     cycles of length 4 partitioning the ridges, identity relators killed by
-    the orientation character, edge-face orbits of 8.  Returns whether all
-    of them pass."""
+    the orientation character, edge-face orbits of 8.  ``domain`` is the
+    pairings' base domain, built here when not given.  Returns (whether all
+    of them pass, the ridge cycles, the edge-face orbits), over side
+    labels."""
     poly = polytope or build_polytope()
     eps = orientation_character(pairings)
-    domain = base_domain(pairings, poly)
+    if domain is None:
+        domain = base_domain(pairings, poly)
     cycles = _label_cycles(domain, poly)
     lengths = report.cycle_lengths = dict(Counter(len(c) for c in cycles))
     covered = frozenset().union(*(c.ridges for c in cycles))
@@ -504,19 +519,23 @@ def check_gluing(pairings, report: ValidationReport, polytope=None) -> bool:
         orbit_ok,
         f"{len(orbits)} orbits (3-handles), sizes {sizes}",
     )
-    return cycles_ok and identity_ok and eps_ok and orbit_ok
+    return cycles_ok and identity_ok and eps_ok and orbit_ok, cycles, orbits
 
 
-def require_manifold(pairings, polytope: Polytope24 | None = None):
+def require_manifold(pairings, domain: Domain | None = None,
+                     polytope: Polytope24 | None = None):
     """Raise PoincareViolation naming the first gluing check the pairings
-    fail (the checks of ``validate``)."""
+    fail (the checks of ``validate``); otherwise return the checked ridge
+    cycles and edge-face orbits of their base domain."""
     report = ValidationReport(code="")
-    if not check_gluing(pairings, report, polytope):
+    ok, cycles, orbits = check_gluing(pairings, report, domain, polytope)
+    if not ok:
         name, _passed, detail = next(c for c in report.checks if not c[1])
         raise PoincareViolation(
             f"not a manifold gluing: the {name} check fails"
             + (f" ({detail})" if detail else "")
         )
+    return cycles, orbits
 
 
 def validate(code_text: str) -> ValidationReport:
@@ -540,7 +559,7 @@ def validate(code_text: str) -> ValidationReport:
         if not pair_ok:
             raise InvalidCode("pairing consistency failed")
 
-        report.ok = check_gluing(pairings, report, poly)
+        report.ok = check_gluing(pairings, report, polytope=poly)[0]
     except ParseError:
         raise
     except CensusError as exc:

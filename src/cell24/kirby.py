@@ -420,8 +420,9 @@ def invariant_report(
     # the gluing checks.
     covered = stage not in ("base", "filled")
     dc = cover_mod.build_double_cover(pairings, eps, alpha) if covered else None
-    census.require_manifold(pairings)
-    base = census.presentation(pairings, census.ridge_cycles(pairings))
+    domain = census.base_domain(pairings)
+    cycles, orbits = census.require_manifold(pairings, domain)
+    base = census.presentation(pairings, cycles)
     orientable = all(e == 1 for e in eps.values())
 
     def report(pres, chi, budget, orientable, remark):
@@ -431,10 +432,9 @@ def invariant_report(
             orientable=orientable, candidate_remark=remark,
         )
 
-    def euler(domain, pres):
-        # One 2-handle per ridge cycle, that is per relator.
-        return (domain.sheets - len(domain.pairs) + len(pres.relators)
-                - len(census.domain_orbits(domain)))
+    def euler(domain, cycles, orbits):
+        # One 2-handle per ridge cycle, one 3-handle per edge-face orbit.
+        return domain.sheets - len(domain.pairs) + len(cycles) - len(orbits)
 
     def fills():
         # Published filling words exist only for the reference code, so
@@ -442,15 +442,16 @@ def invariant_report(
         return [w for _, w in filling_pairs(pairings)]
 
     if stage == "base":
-        return report(base, euler(census.base_domain(pairings), base),
+        return report(base, euler(domain, cycles, orbits),
                       unfilled_max_cosets, orientable,
                       "cusped census manifold; chi = 1 is the census datum")
     if stage == "filled":
         return report(groups.add_relations(base, fills()), None, max_cosets,
                       orientable, "closed filling along the five cusp translations")
 
-    cover_pres = cover_mod.cover_presentation(dc)
-    cover_chi = euler(dc.domain, cover_pres)
+    cover_cycles = cover_mod.cover_ridge_cycles(dc)
+    cover_pres = cover_mod.cover_presentation(dc, cover_cycles)
+    cover_chi = euler(dc.domain, cover_cycles, cover_mod.cover_edge_classes(dc))
     if stage == "cover":
         return report(cover_pres, cover_chi, unfilled_max_cosets, True,
                       "orientable double cover; chi doubles to 2")

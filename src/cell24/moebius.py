@@ -38,12 +38,22 @@ def lorentz_apply(m, v):
 
 
 def lorentz_mul(a, b):
-    cols = tuple(zip(*b))
+    # Unrolled: the relator certificates spend most of their time here.
+    (
+        (b00, b01, b02, b03, b04),
+        (b10, b11, b12, b13, b14),
+        (b20, b21, b22, b23, b24),
+        (b30, b31, b32, b33, b34),
+        (b40, b41, b42, b43, b44),
+    ) = b
     return tuple([
-        tuple([
-            r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4
-            for c0, c1, c2, c3, c4 in cols
-        ])
+        (
+            r0 * b00 + r1 * b10 + r2 * b20 + r3 * b30 + r4 * b40,
+            r0 * b01 + r1 * b11 + r2 * b21 + r3 * b31 + r4 * b41,
+            r0 * b02 + r1 * b12 + r2 * b22 + r3 * b32 + r4 * b42,
+            r0 * b03 + r1 * b13 + r2 * b23 + r3 * b33 + r4 * b43,
+            r0 * b04 + r1 * b14 + r2 * b24 + r3 * b34 + r4 * b44,
+        )
         for r0, r1, r2, r3, r4 in a
     ])
 

@@ -11,8 +11,8 @@ integer vector n = (c, 1) of Lorentz norm 1 and the ideal vertex v is the
 light ray of u = ``light_vector(v)``.  Incidences are Lorentz
 orthogonalities: v lies on the side n exactly when <u, n> = 0 (v . c = 1),
 and two sides meet in a right-angled ridge exactly when <n, n'> = 0
-(c . c' = 1).  A side pairing's Lorentz matrix acts on sides and vertices by
-integer lookups.
+(c . c' = 1).  A side pairing's Lorentz matrix acts on sides, vertices and
+edge faces by integer lookups, tabulated once per (side, matrix).
 """
 
 from __future__ import annotations
@@ -151,6 +151,9 @@ class Polytope24:
             self.neighbours[la].add(lb)
             self.neighbours[lb].add(la)
 
+        # (side label, Lorentz matrix) -> action tables, filled by ``action``.
+        self.actions = {}
+
     def side_of_vector(self, w):
         """Label of the side whose Lorentz vector is +-w, or None.
 
@@ -181,16 +184,35 @@ class Polytope24:
 
     def action(self, label, matrix):
         """Exact action of an integer Lorentz matrix on the faces at side
-        ``label``: (sides, vertices), where ``sides`` maps each side meeting
-        it in a ridge to its image side label and ``vertices`` each index of
-        an ideal vertex on it to the index of its image; None marks an image
-        that is not a side or not a vertex."""
+        ``label``: (sides, vertices, faces), where ``sides`` maps each side
+        meeting it in a ridge to its image side label, ``vertices`` each
+        index of an ideal vertex on it to the index of its image, and
+        ``faces`` each index of an edge face on it (ascending) to the index
+        of its image face; None marks an image that is not a side, vertex
+        or edge face.
+
+        The tables depend on nothing but (label, matrix), so each is
+        computed once and shared by every caller: they must not be mutated.
+        The key is the exact matrix, so a word that differs in any entry
+        gets its own tables.
+        """
+        key = (label, matrix)
+        tables = self.actions.get(key)
+        if tables is None:
+            tables = self.actions[key] = self._action(label, matrix)
+        return tables
+
+    def _action(self, label, matrix):
         sides = {nb: self.side_image(matrix, nb) for nb in self.neighbours[label]}
         vertices = {
             i: self.vertex_of_vector(lorentz_apply(matrix, self.vertex_vectors[i]))
             for i in self.side_vertex_indices[label]
         }
-        return sides, vertices
+        faces = {}
+        for i, f in enumerate(self.edge_faces):
+            if label in f.sides:
+                faces[i] = self.edge_face_at.get(frozenset(vertices[v] for v in f.ends))
+        return sides, vertices, faces
 
     def adjacent(self, la: str, lb: str) -> bool:
         return lb in self.neighbours[la]

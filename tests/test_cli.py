@@ -5,6 +5,7 @@ import pytest
 
 from cell24 import census
 from cell24.cli import main
+from cell24.polytope import build_polytope
 
 
 def run(capsys, *argv):
@@ -154,6 +155,20 @@ def test_validate_rejects_non_manifold(capsys):
     code, out, _ = run(capsys, "validate", "a5e164")
     assert code == 1
     assert "[FAIL] edge-face orbits" in out
+
+
+def test_cusps_computes_each_move_table_once(capsys, monkeypatch):
+    # cusps traces the gluing, the vertex classes and each cusp's stabilizer
+    # through the same 24 moves; each (side, matrix) action is computed once.
+    poly = build_polytope()
+    poly.actions.clear()
+    fresh = []
+    compute = poly._action
+    monkeypatch.setattr(
+        poly, "_action", lambda label, m: fresh.append((label, m)) or compute(label, m)
+    )
+    assert run(capsys, "cusps", "146928")[0] == 0
+    assert len(fresh) == len(set(fresh)) == 24
 
 
 def test_cusp_geometry_error_is_a_domain_error(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from cell24.moebius import (
     lorentz_mul,
     reflection,
 )
-from cell24.polytope import build_polytope
+from cell24.polytope import Polytope24, build_polytope
 
 HALF = Fraction(1, 2)
 
@@ -148,6 +148,45 @@ def test_move_tables_match_moebius_evaluation(sample_codes):
                 poly.vertex_index[v]: poly.vertex_index.get(image(v))
                 for v in poly.side_vertices[label]
             }
+
+
+def test_move_face_tables_match_point_oracle(sample_codes):
+    # An edge face is the span of its two ideal vertices, so its image is
+    # the edge face spanned by the oracle images of the two, or None.  Moves
+    # with the same side and matrix share one table, checked once.
+    poly = build_polytope()
+    poly.actions.clear()
+    fresh = Polytope24()
+    face_index = {f.vertices: i for i, f in enumerate(poly.edge_faces)}
+    checked = {}
+    digits = set()
+    for code in ["146928"] + sample_codes:
+        pairings = census.build_pairings(census.parse_code(code))
+        census.ridge_cycles(pairings)
+        census.edge_classes(pairings)
+        digits.update(enumerate(code))
+        by_letter = {p.letter: p for p in pairings}
+        for label, mv in census.moves_by_side(pairings).items():
+            key = (label, mv.word.lorentz())
+            if key in checked:
+                assert mv.faces is checked[key]
+                continue
+            checked[key] = mv.faces
+            assert set(mv.faces) == {
+                i for i, f in enumerate(poly.edge_faces) if label in f.sides
+            }
+            for i, entry in mv.faces.items():
+                ends = frozenset(
+                    oracle.pairing_point(by_letter[mv.letter], v, mv.sign)
+                    for v in poly.edge_faces[i].vertices
+                )
+                assert entry == face_index.get(ends)
+            # A memo hit returns what a polytope with no cached tables
+            # computes afresh.
+            assert (mv.sides, mv.vertices, mv.faces) == fresh.action(*key)
+    # The battery caches nothing else: one action per (family, digit) move,
+    # two pairings of two moves per usable digit, 4 * 45 = 180 at most.
+    assert len(poly.actions) == len(checked) == 4 * len(digits) <= 180
 
 
 def test_is_identity_agrees_with_six_point_certificate(sample_codes):
