@@ -131,21 +131,20 @@ def build_pairings(kvecs, polytope: Polytope24 | None = None):
     """The twelve side pairings of a decoded code.
 
     Within a family the four sides pair as c -> k (.) c; the pairing sources
-    are the two sides carrying +1 in the first k-flipped coordinate, ordered
-    lexicographically (this reproduces the published source/target display
-    for 146928).
+    are the two sides carrying +1 in the first k-flipped coordinate of the
+    family's support, ordered lexicographically (this reproduces the
+    published source/target display for 146928).  ``parse_code`` makes k
+    flip some support coordinate, so every family has two sources.
     """
     poly = polytope or build_polytope()
     pairings = []
-    for k, (letters, _support), family_sides in zip(kvecs, FAMILIES, _family_sides(poly)):
-        first_flip = next(j for j in range(4) if k[j] == -1)
+    for k, (letters, support), family_sides in zip(kvecs, FAMILIES, _family_sides(poly)):
+        first_flip = next(j for j in support if k[j] == -1)
         sources = sorted(
             (s for s in family_sides if s.center[first_flip] == 1),
             key=lambda s: s.center,
             reverse=True,
         )
-        if len(sources) != 2:
-            raise InvalidCode(f"family {letters}: pairing is not fixed-point-free")
         for letter, src in zip(letters, sources):
             tgt_center = tuple(sign * c for sign, c in zip(k, src.center))
             tgt = next(s for s in family_sides if s.center == tgt_center)
@@ -425,7 +424,11 @@ def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
             x = parent[x]
         return x
 
-    for (sheet, _label), (name, _sign, image, mv) in domain.steps.items():
+    # A pairing's step at its target repeats its source step's unions
+    # through the inverse table, so each pairing is unioned once.
+    for (sheet, _label), (name, sign, image, mv) in domain.steps.items():
+        if sign == -1:
+            continue
         for i, j in mv.faces.items():
             if j is None:
                 raise PoincareViolation(

@@ -123,7 +123,8 @@ def cmd_cycles(args):
 
 def cmd_presentation(args):
     pairings = _pairings(args.code)
-    pres = census.presentation(pairings, census.ridge_cycles(pairings))
+    cycles, _orbits = census.require_manifold(pairings)
+    pres = census.presentation(pairings, cycles)
     if args.fill:
         pres = groups.add_relations(
             pres, [w for _, w in kirby.filling_pairs(pairings)]
@@ -197,6 +198,7 @@ def cmd_cover(args):
     pairings = _pairings(args.code)
     eps = census.orientation_character(pairings)
     dc = cover_mod.build_double_cover(pairings, eps, args.alpha)
+    census.require_manifold(pairings)
     cycles = cover_mod.cover_ridge_cycles(dc)
     if args.format == "json":
         doc = {

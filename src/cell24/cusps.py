@@ -160,13 +160,13 @@ def stabilizer_generators(cusp: CuspClass, pairings) -> CuspStabilizer:
 
 def _affine_ball(stab: CuspStabilizer, pairings, max_factors: int):
     """Products of up to max_factors stabilizer generators, deduplicated by
-    their exact affine action; each element keeps its best word."""
+    their exact affine action: affine pair -> best word."""
     rep = stab.cusp.representative
     gen_affine = []
     for word, moebius in stab.generators:
         gen_affine.append((word, affine_parts(moebius, rep)))
         gen_affine.append((word_inverse(word), affine_parts(moebius.inverse(), rep)))
-    best = {_affine_key(flat3.AFFINE_ID): ((), flat3.AFFINE_ID)}
+    best = {flat3.AFFINE_ID: ()}
     frontier = [((), flat3.AFFINE_ID)]
     for _ in range(max_factors):
         nxt = []
@@ -174,21 +174,15 @@ def _affine_ball(stab: CuspStabilizer, pairings, max_factors: int):
             for gword, gaff in gen_affine:
                 nw = word_mul(word, gword)
                 na = flat3.affine_mul(aff, gaff)
-                key = _affine_key(na)
-                known = best.get(key)
+                known = best.get(na)
                 if known is None or (len(nw), word_sort_key(nw)) < (
-                    len(known[0]),
-                    word_sort_key(known[0]),
+                    len(known),
+                    word_sort_key(known),
                 ):
-                    best[key] = (nw, na)
+                    best[na] = nw
                     nxt.append((nw, na))
         frontier = nxt
     return best
-
-
-def _affine_key(aff):
-    q, t = aff
-    return (tuple(tuple(row) for row in q), tuple(t))
 
 
 def find_filling_translations(pairings, stabilizers=None, max_factors=2):
@@ -201,7 +195,7 @@ def find_filling_translations(pairings, stabilizers=None, max_factors=2):
     for stab in stabilizers:
         ball = _affine_ball(stab, pairings, max_factors)
         translations = []
-        for word, (q, t) in ball.values():
+        for (q, t), word in ball.items():
             if not word:
                 continue
             if q == flat3.I3 and any(x != 0 for x in t):
@@ -228,23 +222,19 @@ def find_filling_translations(pairings, stabilizers=None, max_factors=2):
 def cusp_invariants(stab: CuspStabilizer, pairings, eps) -> CuspInvariants:
     """Exact flat-manifold invariants of a cusp cross-section."""
     rep = stab.cusp.representative
-    linear_parts = []
-    affines = []
+    affines = [affine_parts(moebius, rep) for _, moebius in stab.generators]
     orientable = True
-    for word, moebius in stab.generators:
-        q, t = affine_parts(moebius, rep)
-        linear_parts.append(q)
-        affines.append((q, t))
+    for (word, _), (q, _) in zip(stab.generators, affines):
         char = eps_of_word(word, eps)
         if char != _det3_sign(q):
             raise GeometryError("orientation character disagrees with det Q")
         if char == -1:
             orientable = False
 
-    phi = flat3.holonomy_closure([q for q, _ in affines])
-    order = len(phi)
-
-    # Transversal of the holonomy quotient, then Schreier translations.
+    # Transversal of the holonomy quotient keyed by linear part: its keys
+    # are the holonomy group.  r g and its representative share their linear
+    # part, so the Schreier translation r g back^-1 is the difference of
+    # their translations.
     reps = {flat3.I3: flat3.AFFINE_ID}
     frontier = [flat3.AFFINE_ID]
     signed = affines + [affine_parts(m.inverse(), rep) for _, m in stab.generators]
@@ -257,45 +247,33 @@ def cusp_invariants(stab: CuspStabilizer, pairings, eps) -> CuspInvariants:
                     reps[na[0]] = na
                     nxt.append(na)
         frontier = nxt
+    order = len(reps)
     vectors = []
     for raff in reps.values():
         for g in signed:
-            prod = flat3.affine_mul(raff, g)
-            back = reps[prod[0]]
-            ker = flat3.affine_mul(prod, flat3.affine_inverse(back))
-            if ker[0] != flat3.I3:
-                raise GeometryError("Schreier element is not a translation")
-            if any(x != 0 for x in ker[1]):
-                vectors.append(ker[1])
+            q, t = flat3.affine_mul(raff, g)
+            vectors.append(tuple(a - b for a, b in zip(t, reps[q][1])))
     basis = flat3.integer_row_basis(vectors)
     if len(basis) != 3:
         raise GeometryError("cusp translation lattice must have rank 3")
-    binv = flat3.mat_inverse(tuple(tuple(b[i] for b in basis) for i in range(3)))
-
-    def to_lattice(v):
-        return flat3.mat_vec(binv, v)
+    # Lattice coordinates B^-1 x = adj(B) x / det(B), B the basis as columns.
+    bmat = tuple(tuple(b[i] for b in basis) for i in range(3))
+    adj, det = flat3.adjugate(bmat), flat3.det3(bmat)
 
     def conjugated(m):
-        bt = tuple(tuple(b[i] for b in basis) for i in range(3))
-        out = flat3.mat_mul(binv, flat3.mat_mul(m, bt))
-        result = []
-        for row in out:
-            r = []
-            for x in row:
-                fx = Fraction(x)
-                if fx.denominator != 1:
-                    raise GeometryError("holonomy does not preserve the lattice")
-                r.append(int(fx))
-            result.append(tuple(r))
-        return tuple(result)
+        out = flat3.mat_mul(adj, flat3.mat_mul(m, bmat))
+        if any(x % det for row in out for x in row):
+            raise GeometryError("holonomy does not preserve the lattice")
+        return tuple(tuple(x // det for x in row) for row in out)
 
     if order == 1:
-        torsion, rank, _ = (), 3, 1
+        torsion, rank = (), 3
     else:
-        hol_gens, lifts = _minimal_point_group_data(phi, reps)
+        hol_gens, lifts = _minimal_point_group_data(reps)
         torsion, rank, _ = flat3.extension_h1(
             [conjugated(g) for g in hol_gens],
-            [to_lattice(t) for _, t in lifts],
+            [flat3.mat_vec(adj, t) for _, t in lifts],
+            det,
         )
 
     label = flat3.classify_flat(orientable, order, torsion, rank)
@@ -303,18 +281,19 @@ def cusp_invariants(stab: CuspStabilizer, pairings, eps) -> CuspInvariants:
         representative=rep,
         orientable=orientable,
         holonomy_order=order,
-        linear_parts=tuple(linear_parts),
+        linear_parts=tuple(q for q, _ in affines),
         h1_torsion=torsion,
         h1_rank=rank,
         label=label,
     )
 
 
-def _minimal_point_group_data(phi, reps):
-    """A minimal generating set of the point group with chosen lifts:
-    one maximal-order element if cyclic, else two involutions."""
-    order = len(phi)
-    elems = sorted(phi)
+def _minimal_point_group_data(reps):
+    """A minimal generating set of the point group (the keys of ``reps``)
+    with their lifts in ``reps``: one maximal-order element if cyclic, else
+    two involutions."""
+    order = len(reps)
+    elems = sorted(reps)
     max_order, best = 1, None
     for m in elems:
         if m == flat3.I3:
@@ -332,11 +311,7 @@ def _minimal_point_group_data(phi, reps):
 
 
 def _det3_sign(q):
-    d = (
-        q[0][0] * (q[1][1] * q[2][2] - q[1][2] * q[2][1])
-        - q[0][1] * (q[1][0] * q[2][2] - q[1][2] * q[2][0])
-        + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0])
-    )
+    d = flat3.det3(q)
     if d > 0:
         return 1
     if d < 0:

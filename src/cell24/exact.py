@@ -1,9 +1,10 @@
 """Exact number systems beyond the integers: arbitrary-precision rationals
 (stdlib ``fractions.Fraction``) and the real quadratic field Q(sqrt 2).
 
-Isometries are integer Lorentz matrices (see moebius); ideal vertices and
-flat-manifold lattices use rationals, and layout coordinates live in
-Q(sqrt 2), so every comparison in the package is exact.
+Isometries are integer Lorentz matrices (see moebius) and cusp lattices
+are integral (see flat3); only ideal-vertex coordinates use rationals, and
+layout coordinates live in Q(sqrt 2), so every comparison in the package is
+exact.
 """
 
 from __future__ import annotations

@@ -3,25 +3,30 @@
 A cusp cross-section of a cusped hyperbolic 4-manifold is a closed flat
 3-manifold; its fundamental group is a rank-3 Bieberbach group, an extension
 of a finite point group (the linear holonomy) by the translation lattice.
-Given exact affine generators (Q, t) of such a group we compute:
+Given integer affine generators (Q, t) of such a group (Q in GL(3, Z), t in
+Z^3) we compute:
 
   * the holonomy group (closure of the linear parts),
   * the translation lattice (Schreier generators of the kernel, then an
-    integer row basis),
+    integer row basis B),
   * the abelianization, via the standard presentation of the extension
     (lattice basis + one lift per holonomy generator; relations are the
     conjugation action and the lifted point-group relators).
 
+Everything stays in integers: lattice coordinates B^-1 x are the numerators
+adj(B) x over det(B), so lift translations are integer vectors over one
+denominator and a relator's translation is divided by it exactly.
+
 The decision table below stores the ten standard groups by the same recipe
-(holonomy matrices acting on Z^3 plus lift translation parts), so runtime
-cusps and reference types are classified by one code path.  Tuples that
-match no reference entry, or more than one, come back as "ambiguous".
+(holonomy matrices acting on Z^3 plus lift translations over a
+denominator), so runtime cusps and reference types are classified by one
+code path.  Tuples that match no reference entry, or more than one, come
+back as "ambiguous".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groups import smith_normal_form
 
@@ -39,22 +44,24 @@ def mat_vec(a, v):
     return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
 
 
-def mat_inverse(q):
-    m = [
-        [Fraction(q[i][j]) for j in range(3)]
-        + [Fraction(1 if j == i else 0) for j in range(3)]
+def det3(q):
+    return (
+        q[0][0] * (q[1][1] * q[2][2] - q[1][2] * q[2][1])
+        - q[0][1] * (q[1][0] * q[2][2] - q[1][2] * q[2][0])
+        + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0])
+    )
+
+
+def adjugate(q):
+    """adj(q), so that adj(q) q = det(q) I."""
+    return tuple(
+        tuple(
+            q[(j + 1) % 3][(i + 1) % 3] * q[(j + 2) % 3][(i + 2) % 3]
+            - q[(j + 1) % 3][(i + 2) % 3] * q[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        )
         for i in range(3)
-    ]
-    for col in range(3):
-        pivot = next(r for r in range(col, 3) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(3):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(m[i][3 + j] for j in range(3)) for i in range(3))
+    )
 
 
 def affine_mul(f, g):
@@ -64,35 +71,16 @@ def affine_mul(f, g):
     return mat_mul(q1, q2), tuple(a + b for a, b in zip(mat_vec(q1, t2), t1))
 
 
-def affine_inverse(f):
-    q, t = f
-    qi = mat_inverse(q)
-    return qi, tuple(-x for x in mat_vec(qi, t))
-
-
 AFFINE_ID = (I3, (0, 0, 0))
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def integer_row_basis(vectors):
-    """Basis of the Z-span of rational 3-vectors.
+    """Basis of the Z-span of integer 3-vectors.
 
-    Clears denominators, then Euclidean row reduction column by column; the
-    selected pivots have strictly increasing leading column, hence form a
-    basis of the span.
+    Euclidean row reduction column by column; the selected pivots have
+    strictly increasing leading column, hence form a basis of the span.
     """
-    lcm = 1
-    for v in vectors:
-        for c in v:
-            d = Fraction(c).denominator
-            lcm = lcm // _gcd(lcm, d) * d
-    rows = [[int(Fraction(c) * lcm) for c in v] for v in vectors]
-    rows = [r for r in rows if any(r)]
+    rows = [list(v) for v in vectors if any(v)]
     basis = []
     for col in range(3):
         while True:
@@ -113,17 +101,16 @@ def integer_row_basis(vectors):
                 piv[:] = [-x for x in piv]
             basis.append(piv)
             rows = [r for r in rows if r is not piv]
-    return [tuple(Fraction(c, lcm) for c in b) for b in basis]
+    return [tuple(b) for b in basis]
 
 
 def holonomy_closure(mats, cap=256):
     elems = {I3}
     frontier = [I3]
-    gens = [tuple(tuple(int(x) for x in row) for row in m) for m in mats]
     while frontier:
         nxt = []
         for f in frontier:
-            for g in gens:
+            for g in mats:
                 h = mat_mul(f, g)
                 if h not in elems:
                     elems.add(h)
@@ -144,55 +131,45 @@ def mat_order(m, cap=24):
 
 
 def _point_group_relators(gens):
-    """Defining relators (as (generator index, exponent) words) for the point
+    """Defining relators (as words of generator indices) for the point
     groups that occur on rank-3 lattices: trivial, cyclic, Klein four."""
     if not gens:
         return []
     orders = [mat_order(g) for g in gens]
     if len(gens) == 1:
-        return [tuple([(0, 1)] * orders[0])]
+        return [(0,) * orders[0]]
     if len(gens) == 2 and orders == [2, 2]:
-        return [
-            ((0, 1), (0, 1)),
-            ((1, 1), (1, 1)),
-            ((0, 1), (1, 1), (0, 1), (1, 1)),
-        ]
+        return [(0, 0), (1, 1), (0, 1, 0, 1)]
     raise ValueError("unsupported point-group generating set")
 
 
-def extension_h1(hol_gens, lift_translations):
+def extension_h1(hol_gens, lifts, denominator=1):
     """Abelianization of a Bieberbach extension from explicit data.
 
     hol_gens: integer 3x3 matrices generating the point group in lattice
     coordinates (must be a minimal generating set: one generator for a
-    cyclic group, two involutions for Klein four); lift_translations: the
-    translation part of one chosen lift per generator, in lattice
-    coordinates.  Returns (torsion, rank, holonomy_order).
+    cyclic group, two involutions for Klein four); lifts: the translation
+    part of one chosen lift per generator, in lattice coordinates, as
+    integer numerators over ``denominator``.  Numerators compose like the
+    lifts themselves, since the linear parts are integral.  Returns
+    (torsion, rank, holonomy_order).
     """
-    lifts = [
-        (g, tuple(Fraction(t) for t in tv))
-        for g, tv in zip(hol_gens, lift_translations)
-    ]
-    order = len(holonomy_closure(hol_gens)) if hol_gens else 1
+    order = len(holonomy_closure(hol_gens))
     k = len(hol_gens)
     rows = []
-    for g, _ in lifts:
+    for g in hol_gens:
         for j in range(3):
             col = tuple(g[i][j] - (1 if i == j else 0) for i in range(3))
             rows.append(list(col) + [0] * k)
     for word in _point_group_relators(hol_gens):
-        aff = AFFINE_ID
-        exps = [0] * k
-        for idx, e in word:
-            f = lifts[idx] if e == 1 else affine_inverse(lifts[idx])
-            aff = affine_mul(aff, f)
-            exps[idx] += e
-        q, t = aff
+        q, t = AFFINE_ID
+        for idx in word:
+            q, t = affine_mul((q, t), (hol_gens[idx], lifts[idx]))
         if q != I3:
             raise ValueError("point-group relator does not lift to a translation")
-        if any(Fraction(x).denominator != 1 for x in t):
+        if any(x % denominator for x in t):
             raise ValueError("relator translation is not a lattice vector")
-        rows.append([-int(x) for x in t] + exps)
+        rows.append([-(x // denominator) for x in t] + [word.count(i) for i in range(k)])
     if not rows:
         return (), 3, 1
     diag = smith_normal_form(rows)
@@ -206,10 +183,11 @@ class FlatType:
     name: str
     orientable: bool
     hol_gens: tuple
-    lift_translations: tuple
+    lifts: tuple             # integer lift translations over the denominator
+    denominator: int = 1
 
     def invariants(self):
-        return extension_h1(self.hol_gens, self.lift_translations)
+        return extension_h1(self.hol_gens, self.lifts, self.denominator)
 
 
 def _fix_e1(e2_to, e3_to):
@@ -218,33 +196,34 @@ def _fix_e1(e2_to, e3_to):
     return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
 
 
-HALF = Fraction(1, 2)
-
 FLAT_TYPES = (
     FlatType("G1", True, (), ()),
-    FlatType("G2", True, (((1, 0, 0), (0, -1, 0), (0, 0, -1)),), ((HALF, 0, 0),)),
-    FlatType("G3", True, (_fix_e1((0, 0, 1), (0, -1, -1)),), ((Fraction(1, 3), 0, 0),)),
-    FlatType("G4", True, (_fix_e1((0, 0, 1), (0, -1, 0)),), ((Fraction(1, 4), 0, 0),)),
-    FlatType("G5", True, (_fix_e1((0, 0, 1), (0, -1, 1)),), ((Fraction(1, 6), 0, 0),)),
+    FlatType("G2", True, (((1, 0, 0), (0, -1, 0), (0, 0, -1)),), ((1, 0, 0),), 2),
+    FlatType("G3", True, (_fix_e1((0, 0, 1), (0, -1, -1)),), ((1, 0, 0),), 3),
+    FlatType("G4", True, (_fix_e1((0, 0, 1), (0, -1, 0)),), ((1, 0, 0),), 4),
+    FlatType("G5", True, (_fix_e1((0, 0, 1), (0, -1, 1)),), ((1, 0, 0),), 6),
     FlatType(
         "G6",
         True,
         (((1, 0, 0), (0, -1, 0), (0, 0, -1)), ((-1, 0, 0), (0, 1, 0), (0, 0, -1))),
-        ((HALF, HALF, 0), (0, HALF, HALF)),
+        ((1, 1, 0), (0, 1, 1)),
+        2,
     ),
-    FlatType("B1", False, (((1, 0, 0), (0, 1, 0), (0, 0, -1)),), ((HALF, 0, 0),)),
-    FlatType("B2", False, (((1, 0, 0), (0, 0, 1), (0, 1, 0)),), ((HALF, 0, 0),)),
+    FlatType("B1", False, (((1, 0, 0), (0, 1, 0), (0, 0, -1)),), ((1, 0, 0),), 2),
+    FlatType("B2", False, (((1, 0, 0), (0, 0, 1), (0, 1, 0)),), ((1, 0, 0),), 2),
     FlatType(
         "B3",
         False,
         (((1, 0, 0), (0, -1, 0), (0, 0, -1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1))),
-        ((HALF, 0, 0), (0, HALF, 0)),
+        ((1, 0, 0), (0, 1, 0)),
+        2,
     ),
     FlatType(
         "B4",
         False,
         (((1, 0, 0), (0, -1, 0), (0, 0, -1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1))),
-        ((HALF, 0, 0), (0, HALF, HALF)),
+        ((1, 0, 0), (0, 1, 1)),
+        2,
     ),
 )
 

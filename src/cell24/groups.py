@@ -457,7 +457,18 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100_000):
 # ---------------------------------------------------------------------------
 
 
-def _substitute(word, sym, replacement) -> Word:
+def solve_relator(rel, k) -> Word:
+    """The word w such that rel = 1 says exactly (generator of rel[k]) = w;
+    the generator must occur in rel only at k."""
+    sign = rel[k][1]
+    # rel = before . sym^sign . after = 1  =>  sym^sign = before^-1 after^-1
+    solved = word_mul(word_inverse(rel[:k]), word_inverse(rel[k + 1:]))
+    return solved if sign == 1 else word_inverse(solved)
+
+
+def substitute(word, sym, replacement) -> Word:
+    """Replace every occurrence of sym in word by replacement (inverted for
+    sym^-1), freely reduced."""
     out = []
     inv = word_inverse(replacement)
     for s, sign in word:
@@ -511,16 +522,9 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
             break
         rel, sym = candidate
         k = next(i for i, (s, _) in enumerate(rel) if s == sym)
-        sign = rel[k][1]
-        before, after = rel[:k], rel[k + 1:]
-        # rel = before . sym^sign . after = 1  =>  sym^sign = before^-1 after^-1
-        solved = word_mul(word_inverse(before), word_inverse(after))
-        replacement = solved if sign == 1 else word_inverse(solved)
+        replacement = solve_relator(rel, k)
         gens.remove(sym)
-        new_relators = []
-        for r in relators:
-            if r is rel:
-                continue
-            new_relators.append(_substitute(r, sym, replacement))
-        relators = _dedupe_relators(new_relators)
+        relators = _dedupe_relators(
+            [substitute(r, sym, replacement) for r in relators if r is not rel]
+        )
     return Presentation(tuple(gens), tuple(relators))

@@ -182,31 +182,16 @@ def cancel_pair(d: KirbyDiagram, one_label: str, two_id: str) -> KirbyDiagram:
         raise NotCancellable(
             f"2-handle {two_id} runs over {one_label} {len(hits)} times"
         )
-    k = hits[0]
-    sign = two.word[k][1]
-    before, after = two.word[:k], two.word[k + 1:]
-    solved = groups.word_mul(groups.word_inverse(before), groups.word_inverse(after))
-    replacement = solved if sign == 1 else groups.word_inverse(solved)
-    new_two = []
-    for h in d.two_handles:
-        if h.id == two_id:
-            continue
-        new_word = groups.free_reduce(
-            tuple(
-                part
-                for sym, s in h.word
-                for part in (
-                    (replacement if s == 1 else groups.word_inverse(replacement))
-                    if sym == one_label
-                    else ((sym, s),)
-                )
-            )
-        )
-        new_two.append(replace(h, word=new_word))
+    replacement = groups.solve_relator(two.word, hits[0])
+    new_two = tuple(
+        replace(h, word=groups.substitute(h.word, one_label, replacement))
+        for h in d.two_handles
+        if h.id != two_id
+    )
     return replace(
         d,
         one_handles=tuple(h for h in d.one_handles if h.label != one_label),
-        two_handles=tuple(new_two),
+        two_handles=new_two,
         trace=d.trace + (f"cancel {one_label} with {two_id}",),
     )
 
@@ -353,15 +338,18 @@ def filling_pairs(pairings, for_diagram=False):
 
 
 def assemble_diagram(code: str, want_cover=False, fill=False, alpha="g"):
-    """Build the requested diagram for a code, from scratch."""
+    """Build the requested diagram for a code, from scratch.
+
+    The code must give a manifold gluing; as in ``invariant_report``, a
+    letter that cannot glue the cover is reported first."""
     pairings = census.build_pairings(census.parse_code(code))
+    eps = census.orientation_character(pairings)
+    dc = cover_mod.build_double_cover(pairings, eps, alpha) if want_cover else None
+    domain = census.base_domain(pairings)
+    census.require_manifold(pairings, domain)
     if not want_cover:
         fills = filling_pairs(pairings) if fill else ()
-        return build_diagram(
-            "base", census.base_domain(pairings), lambda side: LAYOUT[side[1]], fills
-        )
-    eps = census.orientation_character(pairings)
-    dc = cover_mod.build_double_cover(pairings, eps, alpha)
+        return build_diagram("base", domain, lambda side: LAYOUT[side[1]], fills)
     fills = ()
     if fill:
         base = filling_pairs(pairings, for_diagram=True)

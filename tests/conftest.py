@@ -51,17 +51,35 @@ def stabilizers(pairings, cusp_classes):
 
 @pytest.fixture(scope="session")
 def sample_codes():
-    """300 distinct pairing-valid codes drawn with a fixed seed.
-
-    A digit gives its family two pairing sources exactly when its lowest set
-    bit lies in the family's support.
-    """
-    digit_sets = [
-        [f"{d:x}" for d in range(1, 16) if (d & -d).bit_length() - 1 in support]
-        for _letters, support in census.FAMILIES
-    ]
+    """300 distinct codes drawn with a fixed seed from the region where
+    every digit's lowest set bit lies in its family's support, so its first
+    flipped coordinate is a support coordinate."""
     rng = random.Random(20240)
     codes = {}
     while len(codes) < 300:
-        codes["".join(rng.choice(ds) for ds in digit_sets)] = None
+        codes["".join(rng.choice(ds) for ds in _LOW_BIT_DIGITS)] = None
     return list(codes)
+
+
+@pytest.fixture(scope="session")
+def wide_codes():
+    """200 distinct parseable codes drawn with a fixed seed from outside the
+    ``sample_codes`` region: some digit flips a coordinate outside its
+    family's support before the first support coordinate it flips."""
+    parseable = [
+        [f"{d:x}" for d in range(1, 16) if any(d >> j & 1 for j in support)]
+        for _letters, support in census.FAMILIES
+    ]
+    rng = random.Random(20241)
+    codes = {}
+    while len(codes) < 200:
+        code = "".join(rng.choice(ds) for ds in parseable)
+        if any(ch not in ds for ch, ds in zip(code, _LOW_BIT_DIGITS)):
+            codes[code] = None
+    return list(codes)
+
+
+_LOW_BIT_DIGITS = [
+    [f"{d:x}" for d in range(1, 16) if (d & -d).bit_length() - 1 in support]
+    for _letters, support in census.FAMILIES
+]

@@ -183,7 +183,9 @@ def test_validate_means_manifold():
         assert report.cycle_lengths == {4: 24}
 
 
-def test_seeded_census_sweep(sample_codes):
+@pytest.mark.parametrize("codes", ["sample_codes", "wide_codes"])
+def test_seeded_census_sweep(codes, request):
+    sample_codes = request.getfixturevalue(codes)
     poly = build_polytope()
     ridges = {r.sides for r in poly.ridges}
     faces = {f.vertices for f in poly.edge_faces}

@@ -197,6 +197,37 @@ def test_cusps_names_failed_gluing_condition(capsys):
         "error: not a manifold gluing: the edge-face orbits check fails "
         "(15 orbits (3-handles), sizes [4, 4, 4, 4, 4, 4, 8, 8, 8, 8, 8, 8, 8, 8, 8])\n"
     )
+    # The subcommands built on the gluing run the same checks first; the
+    # diagnostics (cycles, pairings) still print.
+    for argv in (
+        ["cover", "a5e164"],
+        ["presentation", "a5e164"],
+        ["kirby", "a5e164"],
+        ["kirby", "a5e164", "--cover"],
+        ["trace", "a5e164", "--script", "m35-cover-fill"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == (
+            "error: not a manifold gluing: the edge-face orbits check fails "
+            "(13 orbits (3-handles), sizes [4, 4, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8])\n"
+        ), argv
+    for sub in ("cycles", "pairings"):
+        code, out, _ = run(capsys, sub, "a5e164")
+        assert code == 0 and out, sub
+
+
+def test_code_outside_the_low_bit_region(capsys):
+    # Digit c of family gh flips coordinate 2 before its support coordinate
+    # 3, which now carries the pairing sources.
+    code, out, _ = run(capsys, "validate", "2bec36")
+    assert code == 0
+    assert out.startswith("code 2bec36: PASS")
+    code, out, _ = run(capsys, "cusps", "2bec36")
+    assert code == 0
+    assert out.startswith("5 cusps for code 2bec36")
+    labels = [line.rsplit(" ", 1)[1] for line in out.splitlines() if "label" in line]
+    assert labels == ["B1", "B4", "B4", "B4", "B3"]
 
 
 def test_reference_only_fillings_on_another_code(capsys):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 import moebius_oracle as oracle
 import reference_tables as rt
 from cell24 import census, cusps, flat3
@@ -116,6 +118,65 @@ def test_cusp_invariants(pairings, eps, stabilizers):
         if inv.representative == (HALF, HALF, HALF, HALF)
     )
     assert half.label == "B2"
+
+
+# (label, holonomy order, H1 torsion, H1 rank) per cusp, in class order, of
+# the manifolds among the sample codes; recorded with the rational
+# flat-manifold layer that preceded the integer one.
+SAMPLE_CUSP_INVARIANTS = {
+    "f543e8": (("G6", 4, (4, 4), 0), ("G2", 2, (2, 2), 1), ("B1", 2, (2,), 2),
+               ("B1", 2, (2,), 2), ("B2", 2, (), 2)),
+    "af492c": (("B4", 4, (4,), 1), ("G2", 2, (2, 2), 1), ("B1", 2, (2,), 2),
+               ("B4", 4, (4,), 1), ("G1", 1, (), 3)),
+    "b9e524": (("B2", 2, (), 2), ("B1", 2, (2,), 2), ("G1", 1, (), 3),
+               ("B2", 2, (), 2), ("B1", 2, (2,), 2), ("B1", 2, (2,), 2)),
+    "3528ac": (("G1", 1, (), 3), ("B2", 2, (), 2), ("B1", 2, (2,), 2),
+               ("G1", 1, (), 3), ("B1", 2, (2,), 2)),
+    "e5238c": (("G6", 4, (4, 4), 0), ("B4", 4, (4,), 1), ("G2", 2, (2, 2), 1),
+               ("G1", 1, (), 3), ("B2", 2, (), 2)),
+    "1bef28": (("B4", 4, (4,), 1), ("B2", 2, (), 2), ("G1", 1, (), 3),
+               ("G2", 2, (2, 2), 1), ("B1", 2, (2,), 2)),
+    "1b43ec": (("B3", 4, (2, 2), 1), ("G6", 4, (4, 4), 0), ("G1", 1, (), 3),
+               ("B4", 4, (4,), 1), ("B3", 4, (2, 2), 1)),
+    "54e3a8": (("G2", 2, (2, 2), 1), ("B2", 2, (), 2), ("B3", 4, (2, 2), 1),
+               ("G2", 2, (2, 2), 1), ("B3", 4, (2, 2), 1)),
+    "9be364": (("B1", 2, (2,), 2), ("G1", 1, (), 3), ("B3", 4, (2, 2), 1),
+               ("G2", 2, (2, 2), 1), ("B3", 4, (2, 2), 1), ("B3", 4, (2, 2), 1)),
+    "3165ec": (("B3", 4, (2, 2), 1), ("B2", 2, (), 2), ("B2", 2, (), 2),
+               ("G1", 1, (), 3), ("B2", 2, (), 2)),
+    "146b28": (("G1", 1, (), 3), ("B4", 4, (4,), 1), ("B1", 2, (2,), 2),
+               ("B1", 2, (2,), 2), ("G2", 2, (2, 2), 1)),
+    "35a964": (("G1", 1, (), 3), ("B1", 2, (2,), 2), ("G2", 2, (2, 2), 1),
+               ("B2", 2, (), 2), ("B1", 2, (2,), 2)),
+    "65a9e8": (("B2", 2, (), 2), ("B4", 4, (4,), 1), ("B3", 4, (2, 2), 1),
+               ("B1", 2, (2,), 2), ("B2", 2, (), 2)),
+}
+
+
+def test_sample_cusp_invariants_match_table(sample_codes):
+    found = {}
+    for code in sample_codes:
+        if not census.validate(code).ok:
+            continue
+        pairings = census.build_pairings(census.parse_code(code))
+        eps = census.orientation_character(pairings)
+        found[code] = tuple(
+            (inv.label, inv.holonomy_order, inv.h1_torsion, inv.h1_rank)
+            for inv in (
+                cusps.cusp_invariants(cusps.stabilizer_generators(c, pairings), pairings, eps)
+                for c in cusps.vertex_classes(pairings)
+            )
+        )
+    assert found == SAMPLE_CUSP_INVARIANTS
+
+
+def test_extension_h1_scaled_lifts():
+    # A half-turn lifted by 1/3 e1 squares to 2/3 e1, off the lattice.
+    half_turn = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
+    assert flat3.extension_h1([half_turn], [(1, 0, 0)], 2) == ((2, 2), 1, 2)
+    assert flat3.extension_h1([half_turn], [(2, 0, 0)], 4) == ((2, 2), 1, 2)
+    with pytest.raises(ValueError, match="not a lattice vector"):
+        flat3.extension_h1([half_turn], [(1, 0, 0)], 3)
 
 
 def test_eps_restricted_is_homomorphism(pairings, eps, stabilizers):
