@@ -146,8 +146,8 @@ def cmd_cusps(args):
     eps = census.orientation_character(pairings)
     classes = cusps.vertex_classes(pairings)
     stabs = [cusps.stabilizer_generators(c, pairings) for c in classes]
-    choices = cusps.find_filling_translations(pairings, stabs)
-    invariants = [cusps.cusp_invariants(s, pairings, eps) for s in stabs]
+    choices = cusps.find_filling_translations(stabs)
+    invariants = [cusps.cusp_invariants(s, eps) for s in stabs]
     alternates = cusps.published_alternate_fillings(pairings, classes)
     if args.format == "json":
         doc = []
@@ -363,7 +363,8 @@ def build_parser():
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("code", help="six-hex-digit side-pairing code")
-        p.add_argument("--format", choices=("text", "json", "svg"), default="text")
+        formats = ("text", "json", "svg") if name == "kirby" else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", "-o", default=None, help="write to file (default stdout)")
         p.set_defaults(handler=handler)
         return p

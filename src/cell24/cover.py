@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import census, groups
-from .census import LETTERS, GeometryError, eps_of_word
-from .groups import double_cover_generator_names
+from .census import LETTERS, eps_of_word, word_isometry
+from .groups import double_cover_generator_names, word_inverse, word_mul
 from .layout import LAYOUT, reflect_x
 from .moebius import MoebiusWord
 from .polytope import SIDE_ORDER, build_polytope
@@ -31,9 +31,18 @@ class CoverPairing:
     source: CoverSide
     target: CoverSide
     word: MoebiusWord
-    base_letter: str
+    base_word: tuple  # the lift as a word in the base pairings
     rule: str  # preserving-base / preserving-copy / reversing-out /
                # reversing-back / wall / wall-back
+
+
+# The printed rule of a lift by the kind of its base letter, indexed by the
+# sheet the lift leaves.
+RULES = {
+    "preserving": ("preserving-base", "preserving-copy"),
+    "reversing": ("reversing-out", "reversing-back"),
+    "wall": ("wall", "wall-back"),
+}
 
 
 @dataclass(frozen=True)
@@ -74,69 +83,52 @@ def default_alpha(eps) -> str:
     )
 
 
-def build_double_cover(pairings, eps, alpha: str = "g") -> DoubleCover:
+def build_double_cover(pairings, eps, alpha: str | None = None) -> DoubleCover:
     """The doubled domain glued along ``alpha``; None means
-    ``default_alpha(eps)``."""
+    ``default_alpha(eps)``.
+
+    Sheet s is the copy T(s)^-1 P with transversal T = (1, alpha).  The lift
+    of a base letter x leaving sheet s lands on sheet s' = s xor [x reverses
+    orientation]; it is the base word T(s')^-1 x T(s), so every lift
+    preserves orientation, and it is named by the Reidemeister-Schreier
+    generator names.  The lift of alpha leaving sheet 0 is the degenerate
+    wall alpha^-1 alpha.
+    """
     if alpha is None:
         alpha = default_alpha(eps)
     if eps.get(alpha) != -1:
         raise GluingLetterError(
             f"the gluing letter must be orientation reversing, got {alpha!r}"
         )
-    inv = f"{alpha}⁻¹"
-    by_letter = {p.letter: p for p in pairings}
-    alpha_word = by_letter[alpha].word
+    names = double_cover_generator_names(tuple(p.letter for p in pairings), eps, alpha)
+    wall = f"{alpha}⁻¹{alpha}"
+    transversal = ((), ((alpha, 1),))
     cover_pairings = []
     for p in pairings:
-        x, w = p.letter, p.word
-        if x == alpha:
-            lifts = ((f"{inv}{x}", 0, 1, MoebiusWord(), "wall"),
-                     (f"{x}{x}", 1, 0, w * w, "wall-back"))
-        elif eps[x] == 1:
-            lifts = ((x, 0, 0, w, "preserving-base"),
-                     (f"{inv}{x}{alpha}", 1, 1, alpha_word.inverse() * w * alpha_word,
-                      "preserving-copy"))
-        else:
-            lifts = ((f"{inv}{x}", 0, 1, alpha_word.inverse() * w, "reversing-out"),
-                     (f"{x}{alpha}", 1, 0, w * alpha_word, "reversing-back"))
-        cover_pairings += [
-            CoverPairing(name, (a, p.source.label), (b, p.target.label), word, x, rule)
-            for name, a, b, word, rule in lifts
-        ]
+        x = p.letter
+        kind = "wall" if x == alpha else "preserving" if eps[x] == 1 else "reversing"
+        for sheet in (0, 1):
+            image = sheet ^ (eps[x] == -1)
+            base_word = word_mul(word_inverse(transversal[image]), ((x, 1),), transversal[sheet])
+            cover_pairings.append(CoverPairing(
+                names[(image, x)] or wall, (sheet, p.source.label), (image, p.target.label),
+                word_isometry(base_word, pairings), base_word, RULES[kind][sheet],
+            ))
     sides = tuple((sheet, label) for sheet in (0, 1) for label in SIDE_ORDER)
-    wall = {(0, by_letter[alpha].source.label), (1, by_letter[alpha].target.label)}
-    boundary = tuple(s for s in sides if s not in wall)
-    cover = DoubleCover(
+    glued = next((p.source, p.target) for p in cover_pairings if p.name == wall)
+    return DoubleCover(
         alpha=alpha,
         pairings=tuple(cover_pairings),
         sides=sides,
-        boundary_sides=boundary,
+        boundary_sides=tuple(s for s in sides if s not in glued),
         eps=dict(eps),
         base_pairings=tuple(pairings),
         domain=census.sheeted_domain(
             [(p.name, p.source, p.target) for p in cover_pairings],
             census.moves_by_side(pairings, build_polytope()),
-            wall=f"{inv}{alpha}",
+            wall=wall,
         ),
     )
-    for p in cover.pairings:
-        if p.rule == "wall":
-            continue
-        if eps_of_word(_name_as_base_word(p, alpha), eps) != 1:
-            raise GeometryError(f"cover pairing {p.name} is not orientation preserving")
-    return cover
-
-
-def _name_as_base_word(p: CoverPairing, alpha: str):
-    words = {
-        "preserving-base": ((p.base_letter, 1),),
-        "preserving-copy": ((alpha, -1), (p.base_letter, 1), (alpha, 1)),
-        "reversing-out": ((alpha, -1), (p.base_letter, 1)),
-        "reversing-back": ((p.base_letter, 1), (alpha, 1)),
-        "wall-back": ((alpha, 1), (alpha, 1)),
-        "wall": (),
-    }
-    return words[p.rule]
 
 
 def cover_ridge_cycles(cover: DoubleCover):
@@ -144,11 +136,9 @@ def cover_ridge_cycles(cover: DoubleCover):
     return census.domain_cycles(cover.domain)
 
 
-def cover_presentation(cover: DoubleCover, cycles=None) -> "groups.Presentation":
-    """Presentation read off the doubled domain: one generator per
-    nontrivial pairing, one relator per cover ridge cycle."""
-    if cycles is None:
-        cycles = cover_ridge_cycles(cover)
+def cover_presentation(cover: DoubleCover, cycles) -> "groups.Presentation":
+    """Presentation read off the doubled domain and its ridge cycles: one
+    generator per nontrivial pairing, one relator per cover ridge cycle."""
     return groups.Presentation(
         generators=cover.generator_names(),
         relators=tuple(c.relator for c in cycles),

@@ -6,7 +6,9 @@ A spanning tree of each class gives loop words generating the stabilizer of
 the class representative (the lexicographically greatest vertex).  Each
 stabilizer is a concrete rank-3 Bieberbach group acting by integer affine
 maps (``moebius.affine_parts``) on the horosphere lattice at its
-representative, which is where the exact invariants come from.
+representative.  Those affine parts are computed once per stabilizer; the
+translation search composes them, and ``flat3.bieberbach_h1`` reads the
+holonomy, lattice and H1 of the cross-section off them.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class CuspClass:
 class CuspStabilizer:
     cusp: CuspClass
     generators: tuple        # of (Word, MoebiusWord), each fixing the representative
+    affines: tuple           # affine parts (Q, t) at the representative:
+                             # each generator's, then its inverse's
 
 
 @dataclass(frozen=True)
@@ -155,20 +159,29 @@ def stabilizer_generators(cusp: CuspClass, pairings) -> CuspStabilizer:
             generators.append((loop, moebius))
     if not generators:
         raise GeometryError("every cusp class must have stabilizer generators")
-    return CuspStabilizer(cusp=cusp, generators=tuple(generators))
+    rep = cusp.representative
+    affines = tuple(
+        affine_parts(m, rep) for _, moebius in generators
+        for m in (moebius, moebius.inverse())
+    )
+    return CuspStabilizer(cusp=cusp, generators=tuple(generators), affines=affines)
 
 
-def _affine_ball(stab: CuspStabilizer, pairings, max_factors: int):
-    """Products of up to max_factors stabilizer generators, deduplicated by
-    their exact affine action: affine pair -> best word."""
-    rep = stab.cusp.representative
-    gen_affine = []
-    for word, moebius in stab.generators:
-        gen_affine.append((word, affine_parts(moebius, rep)))
-        gen_affine.append((word_inverse(word), affine_parts(moebius.inverse(), rep)))
+# Translations are searched among products of at most this many signed
+# stabilizer generators.
+MAX_FACTORS = 2
+
+
+def _affine_ball(stab: CuspStabilizer):
+    """Products of up to MAX_FACTORS signed stabilizer generators,
+    deduplicated by their exact affine action: affine pair -> best word.
+    Only pairs that improve are extended, so the result depends on the
+    generator order (each generator, then its inverse)."""
+    words = [w for word, _ in stab.generators for w in (word, word_inverse(word))]
+    gen_affine = list(zip(words, stab.affines))
     best = {flat3.AFFINE_ID: ()}
     frontier = [((), flat3.AFFINE_ID)]
-    for _ in range(max_factors):
+    for _ in range(MAX_FACTORS):
         nxt = []
         for word, aff in frontier:
             for gword, gaff in gen_affine:
@@ -185,15 +198,12 @@ def _affine_ball(stab: CuspStabilizer, pairings, max_factors: int):
     return best
 
 
-def find_filling_translations(pairings, stabilizers=None, max_factors=2):
+def find_filling_translations(stabilizers):
     """Shortest stabilizer-derived translation per cusp (ties lexicographic),
     with same-length alternates reported modulo inverses."""
-    if stabilizers is None:
-        classes = vertex_classes(pairings)
-        stabilizers = [stabilizer_generators(c, pairings) for c in classes]
     choices = []
     for stab in stabilizers:
-        ball = _affine_ball(stab, pairings, max_factors)
+        ball = _affine_ball(stab)
         translations = []
         for (q, t), word in ball.items():
             if not word:
@@ -219,104 +229,27 @@ def find_filling_translations(pairings, stabilizers=None, max_factors=2):
     return choices
 
 
-def cusp_invariants(stab: CuspStabilizer, pairings, eps) -> CuspInvariants:
+def cusp_invariants(stab: CuspStabilizer, eps) -> CuspInvariants:
     """Exact flat-manifold invariants of a cusp cross-section."""
-    rep = stab.cusp.representative
-    affines = [affine_parts(moebius, rep) for _, moebius in stab.generators]
-    orientable = True
-    for (word, _), (q, _) in zip(stab.generators, affines):
-        char = eps_of_word(word, eps)
-        if char != _det3_sign(q):
-            raise GeometryError("orientation character disagrees with det Q")
-        if char == -1:
-            orientable = False
-
-    # Transversal of the holonomy quotient keyed by linear part: its keys
-    # are the holonomy group.  r g and its representative share their linear
-    # part, so the Schreier translation r g back^-1 is the difference of
-    # their translations.
-    reps = {flat3.I3: flat3.AFFINE_ID}
-    frontier = [flat3.AFFINE_ID]
-    signed = affines + [affine_parts(m.inverse(), rep) for _, m in stab.generators]
-    while frontier:
-        nxt = []
-        for aff in frontier:
-            for g in signed:
-                na = flat3.affine_mul(aff, g)
-                if na[0] not in reps:
-                    reps[na[0]] = na
-                    nxt.append(na)
-        frontier = nxt
-    order = len(reps)
-    vectors = []
-    for raff in reps.values():
-        for g in signed:
-            q, t = flat3.affine_mul(raff, g)
-            vectors.append(tuple(a - b for a, b in zip(t, reps[q][1])))
-    basis = flat3.integer_row_basis(vectors)
-    if len(basis) != 3:
-        raise GeometryError("cusp translation lattice must have rank 3")
-    # Lattice coordinates B^-1 x = adj(B) x / det(B), B the basis as columns.
-    bmat = tuple(tuple(b[i] for b in basis) for i in range(3))
-    adj, det = flat3.adjugate(bmat), flat3.det3(bmat)
-
-    def conjugated(m):
-        out = flat3.mat_mul(adj, flat3.mat_mul(m, bmat))
-        if any(x % det for row in out for x in row):
-            raise GeometryError("holonomy does not preserve the lattice")
-        return tuple(tuple(x // det for x in row) for row in out)
-
-    if order == 1:
-        torsion, rank = (), 3
-    else:
-        hol_gens, lifts = _minimal_point_group_data(reps)
-        torsion, rank, _ = flat3.extension_h1(
-            [conjugated(g) for g in hol_gens],
-            [flat3.mat_vec(adj, t) for _, t in lifts],
-            det,
-        )
-
-    label = flat3.classify_flat(orientable, order, torsion, rank)
+    linear = tuple(q for q, _ in stab.affines[::2])
+    # Q is in GL(3, Z), so det Q is the orientation sign of the generator.
+    chars = [eps_of_word(word, eps) for word, _ in stab.generators]
+    if chars != [flat3.det3(q) for q in linear]:
+        raise GeometryError("orientation character disagrees with det Q")
+    orientable = -1 not in chars
+    try:
+        order, torsion, rank = flat3.bieberbach_h1(stab.affines)
+    except ValueError as exc:
+        raise GeometryError(str(exc)) from exc
     return CuspInvariants(
-        representative=rep,
+        representative=stab.cusp.representative,
         orientable=orientable,
         holonomy_order=order,
-        linear_parts=tuple(q for q, _ in affines),
+        linear_parts=linear,
         h1_torsion=torsion,
         h1_rank=rank,
-        label=label,
+        label=flat3.classify_flat(orientable, order, torsion, rank),
     )
-
-
-def _minimal_point_group_data(reps):
-    """A minimal generating set of the point group (the keys of ``reps``)
-    with their lifts in ``reps``: one maximal-order element if cyclic, else
-    two involutions."""
-    order = len(reps)
-    elems = sorted(reps)
-    max_order, best = 1, None
-    for m in elems:
-        if m == flat3.I3:
-            continue
-        n = flat3.mat_order(m)
-        if n > max_order:
-            max_order, best = n, m
-    if max_order == order:
-        return [best], [reps[best]]
-    if order == 4 and max_order == 2:
-        nontrivial = [m for m in elems if m != flat3.I3]
-        a, b = nontrivial[0], nontrivial[1]
-        return [a, b], [reps[a], reps[b]]
-    raise GeometryError("unexpected cusp point group structure")
-
-
-def _det3_sign(q):
-    d = flat3.det3(q)
-    if d > 0:
-        return 1
-    if d < 0:
-        return -1
-    raise GeometryError("singular linear part")
 
 
 class NoPublishedData(CensusError):
@@ -400,12 +333,10 @@ def canonical_fillings(pairings, classes=None, for_diagram=False):
     return out
 
 
-def published_alternate_fillings(pairings, classes=None):
+def published_alternate_fillings(pairings, classes):
     """Validated published alternates (e.g. j for the cusp filled along i);
     none for a code without published alternates."""
     table = ALTERNATE_FILLING_WORDS.get(_code_of(pairings), {})
-    if classes is None:
-        classes = vertex_classes(pairings)
     return [
         _validated_filling(cls, word, pairings, "published alternate")
         for cls in classes

@@ -3,15 +3,18 @@
 A cusp cross-section of a cusped hyperbolic 4-manifold is a closed flat
 3-manifold; its fundamental group is a rank-3 Bieberbach group, an extension
 of a finite point group (the linear holonomy) by the translation lattice.
-Given integer affine generators (Q, t) of such a group (Q in GL(3, Z), t in
-Z^3) we compute:
+Given integer affine generators (Q, t) of such a group and their inverses
+(Q in GL(3, Z), t in Z^3), ``bieberbach_h1`` computes, from one closure:
 
-  * the holonomy group (closure of the linear parts),
-  * the translation lattice (Schreier generators of the kernel, then an
-    integer row basis B),
+  * the holonomy group, as the keys of a transversal (``holonomy_closure``:
+    linear part -> one lift),
+  * the translation lattice (Schreier generators of the kernel read off the
+    transversal, then an integer row basis B),
+  * a minimal generating set of the point group with its lifts, and
   * the abelianization, via the standard presentation of the extension
     (lattice basis + one lift per holonomy generator; relations are the
-    conjugation action and the lifted point-group relators).
+    conjugation action and the lifted point-group relators), in
+    ``extension_h1``.
 
 Everything stays in integers: lattice coordinates B^-1 x are the numerators
 adj(B) x over det(B), so lift translations are integer vectors over one
@@ -104,21 +107,26 @@ def integer_row_basis(vectors):
     return [tuple(b) for b in basis]
 
 
-def holonomy_closure(mats, cap=256):
-    elems = {I3}
-    frontier = [I3]
+def holonomy_closure(affines):
+    """Transversal of the holonomy quotient of the group generated by the
+    integer affine maps ``affines`` (closed under inverses): linear part ->
+    the first lift of it reached breadth-first.  Its keys are the holonomy
+    group, which is finite for a Bieberbach group; a finite subgroup of
+    GL(3, Z) has at most 48 elements."""
+    reps = {I3: AFFINE_ID}
+    frontier = [AFFINE_ID]
     while frontier:
         nxt = []
         for f in frontier:
-            for g in mats:
-                h = mat_mul(f, g)
-                if h not in elems:
-                    elems.add(h)
+            for g in affines:
+                h = affine_mul(f, g)
+                if h[0] not in reps:
+                    reps[h[0]] = h
                     nxt.append(h)
-                    if len(elems) > cap:
-                        raise ValueError("holonomy closure exceeded cap")
+                    if len(reps) > 48:
+                        raise ValueError("holonomy group is infinite")
         frontier = nxt
-    return elems
+    return reps
 
 
 def mat_order(m, cap=24):
@@ -130,38 +138,47 @@ def mat_order(m, cap=24):
     raise ValueError("matrix order exceeded cap")
 
 
+UNEXPECTED_POINT_GROUP = "unexpected cusp point group structure"
+
+
 def _point_group_relators(gens):
-    """Defining relators (as words of generator indices) for the point
-    groups that occur on rank-3 lattices: trivial, cyclic, Klein four."""
+    """(order, defining relators as words of generator indices) of the point
+    group generated by ``gens``, for the generating sets of rank-3 lattice
+    point groups used here: none (trivial), one element (cyclic), or two
+    commuting involutions (Klein four)."""
     if not gens:
-        return []
-    orders = [mat_order(g) for g in gens]
+        return 1, []
     if len(gens) == 1:
-        return [(0,) * orders[0]]
-    if len(gens) == 2 and orders == [2, 2]:
-        return [(0, 0), (1, 1), (0, 1, 0, 1)]
-    raise ValueError("unsupported point-group generating set")
+        n = mat_order(gens[0])
+        return n, [(0,) * n]
+    if (
+        len(gens) == 2
+        and [mat_order(g) for g in gens] == [2, 2]
+        and mat_mul(*gens) == mat_mul(*reversed(gens))
+    ):
+        return 4, [(0, 0), (1, 1), (0, 1, 0, 1)]
+    raise ValueError(UNEXPECTED_POINT_GROUP)
 
 
 def extension_h1(hol_gens, lifts, denominator=1):
     """Abelianization of a Bieberbach extension from explicit data.
 
     hol_gens: integer 3x3 matrices generating the point group in lattice
-    coordinates (must be a minimal generating set: one generator for a
-    cyclic group, two involutions for Klein four); lifts: the translation
-    part of one chosen lift per generator, in lattice coordinates, as
-    integer numerators over ``denominator``.  Numerators compose like the
-    lifts themselves, since the linear parts are integral.  Returns
-    (torsion, rank, holonomy_order).
+    coordinates (none, one generator of a cyclic group, or two commuting
+    involutions); lifts: the translation part of one chosen lift per
+    generator, in lattice coordinates, as integer numerators over
+    ``denominator``.  Numerators compose like the lifts themselves, since
+    the linear parts are integral.  Returns (torsion, rank,
+    holonomy_order), the order read off the point-group relators.
     """
-    order = len(holonomy_closure(hol_gens))
+    order, relators = _point_group_relators(hol_gens)
     k = len(hol_gens)
     rows = []
     for g in hol_gens:
         for j in range(3):
             col = tuple(g[i][j] - (1 if i == j else 0) for i in range(3))
             rows.append(list(col) + [0] * k)
-    for word in _point_group_relators(hol_gens):
+    for word in relators:
         q, t = AFFINE_ID
         for idx in word:
             q, t = affine_mul((q, t), (hol_gens[idx], lifts[idx]))
@@ -171,11 +188,53 @@ def extension_h1(hol_gens, lifts, denominator=1):
             raise ValueError("relator translation is not a lattice vector")
         rows.append([-(x // denominator) for x in t] + [word.count(i) for i in range(k)])
     if not rows:
-        return (), 3, 1
+        return (), 3, order
     diag = smith_normal_form(rows)
     torsion = tuple(d for d in diag if d > 1)
     rank = (3 + k) - sum(1 for d in diag if d != 0)
     return torsion, rank, order
+
+
+def bieberbach_h1(affines):
+    """(holonomy order, H1 torsion, H1 rank) of the rank-3 Bieberbach group
+    generated by the integer affine maps ``affines`` (closed under inverses).
+
+    The holonomy transversal gives the translation lattice: r g and the
+    representative of its linear part share that part, so the Schreier
+    translation r g back^-1 is the difference of their translations.  The
+    point group is generated by one element of maximal order when that
+    element generates it, else by its first two nontrivial elements (a
+    Klein four-group); each generator is lifted by its transversal entry.
+    """
+    reps = holonomy_closure(affines)
+    vectors = []
+    for r in reps.values():
+        for g in affines:
+            q, t = affine_mul(r, g)
+            vectors.append(tuple(a - b for a, b in zip(t, reps[q][1])))
+    basis = integer_row_basis(vectors)
+    if len(basis) != 3:
+        raise ValueError("cusp translation lattice must have rank 3")
+    # Lattice coordinates B^-1 x = adj(B) x / det(B), B the basis as columns.
+    bmat = tuple(tuple(b[i] for b in basis) for i in range(3))
+    adj, det = adjugate(bmat), det3(bmat)
+
+    def conjugated(m):
+        out = mat_mul(adj, mat_mul(m, bmat))
+        if any(x % det for row in out for x in row):
+            raise ValueError("holonomy does not preserve the lattice")
+        return tuple(tuple(x // det for x in row) for row in out)
+
+    elems = sorted(m for m in reps if m != I3)
+    gens = [max(elems, key=mat_order)] if elems else []
+    if gens and mat_order(gens[0]) < len(reps):
+        gens = elems[:2]
+    torsion, rank, order = extension_h1(
+        [conjugated(g) for g in gens], [mat_vec(adj, reps[g][1]) for g in gens], det
+    )
+    if order != len(reps):
+        raise ValueError(UNEXPECTED_POINT_GROUP)
+    return order, torsion, rank
 
 
 @dataclass(frozen=True)

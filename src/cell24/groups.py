@@ -160,15 +160,13 @@ def double_cover_generators(generators, eps, alpha: str) -> tuple:
     )
 
 
-def rs_rewrite(word, eps, alpha: str, names=None) -> Word:
-    """Rewrite a word of the eps-kernel over the double-cover generators.
+def rs_rewrite(word, eps, alpha: str, names) -> Word:
+    """Rewrite a word of the eps-kernel over the double-cover generators
+    ``names`` (from ``double_cover_generator_names``).
 
     Scans the word left to right tracking the coset of each prefix; raises
     GroupError if the word is not in the kernel.
     """
-    if names is None:
-        syms = sorted({sym for sym, _ in word} | {alpha})
-        names = double_cover_generator_names(syms, eps, alpha)
     out = []
     sheet = 0  # 0 = trivial coset, 1 = coset of alpha^-1
     for sym, sign in word:
@@ -497,18 +495,19 @@ def _dedupe_relators(relators):
     return out
 
 
-def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
+def tietze_simplify(p: Presentation) -> Presentation:
     """Eliminate generators by Tietze moves only.
 
     Strategy: repeatedly pick the shortest relator containing some generator
     exactly once (ties by generator name), solve for that generator, and
     substitute everywhere; relators are kept freely and cyclically reduced
     and deduplicated up to rotation and inversion.  The presented group is
-    unchanged by construction.  Budget caps the number of eliminations.
+    unchanged by construction.  Each elimination removes a generator, so
+    there are at most as many eliminations as generators.
     """
     gens = list(p.generators)
     relators = _dedupe_relators(p.relators)
-    for _ in range(budget):
+    for _ in range(len(gens)):
         candidate = None
         for r in sorted(relators, key=len):
             counts = {}

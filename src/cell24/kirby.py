@@ -337,8 +337,9 @@ def filling_pairs(pairings, for_diagram=False):
     return [(f"fill-{groups.word_str(f.word)}", f.word) for f in fills]
 
 
-def assemble_diagram(code: str, want_cover=False, fill=False, alpha="g"):
-    """Build the requested diagram for a code, from scratch.
+def assemble_diagram(code: str, want_cover=False, fill=False, alpha=None):
+    """Build the requested diagram for a code, from scratch; the cover is
+    glued along ``alpha``, None meaning ``cover.default_alpha``.
 
     The code must give a manifold gluing; as in ``invariant_report``, a
     letter that cannot glue the cover is reported first."""
@@ -385,12 +386,16 @@ class InvariantReport:
 
 STAGES = ("base", "cover", "filled", "filled_cover", "degree2_of_filled_cover")
 
+# Coset budget of the enumeration on the unfilled (infinite) groups.
+UNFILLED_MAX_COSETS = 3_000
+
 
 def invariant_report(
-    stage: str, code: str = "146928", alpha: str = "g",
-    max_cosets: int = 100_000, unfilled_max_cosets: int = 3_000,
+    stage: str, code: str = "146928", alpha: str | None = None,
+    max_cosets: int = 100_000,
 ) -> InvariantReport:
-    """Algebraic invariants at each stage of the construction.
+    """Algebraic invariants at each stage of the construction; the cover is
+    glued along ``alpha``, None meaning ``cover.default_alpha``.
 
     The code must give a manifold gluing.  The Euler characteristic of the
     base and of the cover is counted on the engine's domain, sheets -
@@ -431,7 +436,7 @@ def invariant_report(
 
     if stage == "base":
         return report(base, euler(domain, cycles, orbits),
-                      unfilled_max_cosets, orientable,
+                      UNFILLED_MAX_COSETS, orientable,
                       "cusped census manifold; chi = 1 is the census datum")
     if stage == "filled":
         return report(groups.add_relations(base, fills()), None, max_cosets,
@@ -441,7 +446,7 @@ def invariant_report(
     cover_pres = cover_mod.cover_presentation(dc, cover_cycles)
     cover_chi = euler(dc.domain, cover_cycles, cover_mod.cover_edge_classes(dc))
     if stage == "cover":
-        return report(cover_pres, cover_chi, unfilled_max_cosets, True,
+        return report(cover_pres, cover_chi, UNFILLED_MAX_COSETS, True,
                       "orientable double cover; chi doubles to 2")
 
     filled_cover = groups.add_relations(
@@ -545,7 +550,7 @@ def json_text(d: KirbyDiagram) -> str:
 
 
 # Twelve named colours, matching the published legend names.
-DEFAULT_PALETTE = (
+PALETTE = (
     ("orange", "#e69f00"),
     ("brown", "#8c510a"),
     ("turquoise", "#40e0d0"),
@@ -574,7 +579,7 @@ def _project(pos, panel):
     return u, v
 
 
-def export_svg(d: KirbyDiagram, panel: str, palette=DEFAULT_PALETTE) -> str:
+def export_svg(d: KirbyDiagram, panel: str) -> str:
     """One static panel: dotted circles for the 1-handle balls, a chord
     polyline per 2-handle in its colour, and a legend.  Output is a pure
     function of the input."""
@@ -618,7 +623,7 @@ def export_svg(d: KirbyDiagram, panel: str, palette=DEFAULT_PALETTE) -> str:
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     for h in handles:
-        color = "#000000" if h.color < 0 else palette[h.color % len(palette)][1]
+        color = "#000000" if h.color < 0 else PALETTE[h.color % len(PALETTE)][1]
         dash = ' stroke-dasharray="6 4"' if h.origin != "ridge" else ""
         chain = []
         for sym, s in h.word:
@@ -654,8 +659,8 @@ def export_svg(d: KirbyDiagram, panel: str, palette=DEFAULT_PALETTE) -> str:
         f'font-weight="bold">2-handles ({panel})</text>'
     )
     for i, h in enumerate(handles, 1):
-        color = "#000000" if h.color < 0 else palette[h.color % len(palette)][1]
-        cname = "dashed black" if h.color < 0 else palette[h.color % len(palette)][0]
+        color = "#000000" if h.color < 0 else PALETTE[h.color % len(PALETTE)][1]
+        cname = "dashed black" if h.color < 0 else PALETTE[h.color % len(PALETTE)][0]
         y = ly + 18 * i
         out.append(
             f'<rect x="{margin:.2f}" y="{y - 9:.2f}" width="12" height="12" '

@@ -1,9 +1,10 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
-from cell24 import census
+from cell24 import census, cover, cusps, flat3, kirby
 from cell24.cli import main
 from cell24.polytope import build_polytope
 
@@ -171,6 +172,19 @@ def test_cusps_computes_each_move_table_once(capsys, monkeypatch):
     assert len(fresh) == len(set(fresh)) == 24
 
 
+def test_cusps_builds_each_cusp_group_once(capsys, monkeypatch):
+    # Each stabilizer generator's affine part and its inverse's are computed
+    # once, and each of the five cusps closes its holonomy once.
+    calls = Counter()
+    for module, name in ((flat3, "holonomy_closure"), (cusps, "affine_parts")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _f=original, _n=name: calls.update([_n]) or _f(*a)
+        )
+    assert run(capsys, "cusps", "146928")[0] == 0
+    assert calls == {"holonomy_closure": 5, "affine_parts": 106}
+
+
 def test_cusp_geometry_error_is_a_domain_error(capsys, monkeypatch):
     # eca824 is not a manifold; past the gluing check its cusp point groups
     # have no supported structure, which must end in a one-line error, not a
@@ -257,6 +271,27 @@ def test_default_alpha_from_the_code(capsys):
     assert out.startswith("stage cover: chi = 2,")
     code, out, _ = run(capsys, "cover", "146928")
     assert run(capsys, "cover", "146928", "--alpha", "g")[1] == out
+
+
+def test_default_alpha_api_matches_cli(capsys):
+    # The API and the CLI pick the same default gluing letter (c on ef276c).
+    code, out, _ = run(capsys, "invariants", "ef276c", "--stage", "cover")
+    assert code == 0
+    assert out == kirby.invariant_report("cover", "ef276c").render() + "\n"
+    pairings = census.build_pairings(census.parse_code("ef276c"))
+    dc = cover.build_double_cover(pairings, census.orientation_character(pairings))
+    assert dc.alpha == "c"
+
+
+def test_svg_and_panel_only_on_kirby(capsys):
+    subcommands = (["validate"], ["pairings"], ["cycles"], ["presentation"], ["cusps"],
+                   ["cover"], ["invariants"], ["trace", "--script", "m35-cover-fill"])
+    for sub, *extra in subcommands:
+        for flags in (["--format", "svg"], ["--panel", "xy"]):
+            with pytest.raises(SystemExit) as exc:
+                main([sub, "146928", *extra, *flags])
+            assert exc.value.code == 2, (sub, flags)
+            assert "usage:" in capsys.readouterr().err
 
 
 def test_no_reversing_letter_is_a_usage_error(capsys):

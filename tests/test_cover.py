@@ -55,7 +55,7 @@ def test_cover_words_map_spheres(double_cover):
         return {oracle.word_point(alpha_inv, base, v) for v in vs}
 
     for p in double_cover.pairings:
-        base_word = cover._name_as_base_word(p, double_cover.alpha)
+        base_word = p.base_word
         images = {oracle.word_point(base_word, base, v) for v in vertices_of(p.source)}
         assert images == vertices_of(p.target)
         assert p.word == census.word_isometry(base_word, base)
@@ -65,8 +65,7 @@ def test_cover_pairings_preserve_orientation(double_cover, eps):
     for p in double_cover.pairings:
         if p.rule == "wall":
             continue
-        base = cover._name_as_base_word(p, double_cover.alpha)
-        assert census.eps_of_word(base, eps) == 1
+        assert census.eps_of_word(p.base_word, eps) == 1
 
 
 def test_cover_cycle_counts(cover_cycles):
@@ -205,7 +204,7 @@ def test_cover_edge_classes(double_cover):
     alpha_inv = ((double_cover.alpha, -1),)
     orbit_of = {face: k for k, orbit in enumerate(orbits) for face in orbit}
     for p in double_cover.pairings:
-        base_word = cover._name_as_base_word(p, double_cover.alpha)
+        base_word = p.base_word
         for (sheet, label), (image_sheet, _), word in (
             (p.source, p.target, base_word),
             (p.target, p.source, groups.word_inverse(base_word)),

@@ -63,7 +63,7 @@ def test_letter_a_in_stabilizer(stabilizers):
 
 
 def test_translation_c_found(pairings, stabilizers):
-    choices = cusps.find_filling_translations(pairings, stabilizers)
+    choices = cusps.find_filling_translations(stabilizers)
     by_rep = {c.cusp.representative: c for c in choices}
     assert by_rep[(1, 0, 0, 0)].chosen == word_from_str("c")
     assert by_rep[(0, 1, 0, 0)].chosen == word_from_str("a")
@@ -99,7 +99,7 @@ def test_half_cusp_word_is_translation(pairings):
 
 
 def test_cusp_invariants(pairings, eps, stabilizers):
-    invs = [cusps.cusp_invariants(s, pairings, eps) for s in stabilizers]
+    invs = [cusps.cusp_invariants(s, eps) for s in stabilizers]
     assert all(not inv.orientable for inv in invs)
     tuples = [
         (inv.orientable, inv.holonomy_order, inv.h1_torsion, inv.h1_rank)
@@ -163,7 +163,7 @@ def test_sample_cusp_invariants_match_table(sample_codes):
         found[code] = tuple(
             (inv.label, inv.holonomy_order, inv.h1_torsion, inv.h1_rank)
             for inv in (
-                cusps.cusp_invariants(cusps.stabilizer_generators(c, pairings), pairings, eps)
+                cusps.cusp_invariants(cusps.stabilizer_generators(c, pairings), eps)
                 for c in cusps.vertex_classes(pairings)
             )
         )
