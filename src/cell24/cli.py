@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline: validate, pairings, cycles, presentation,
-cusps, cover, invariants, kirby, trace.  Text tables go to stdout by
-default; --format json emits machine-readable documents, and the kirby
-subcommand can render SVG panels (one panel, or all four plus the JSON
-document into a directory).
+cusps, cover, invariants, kirby, trace.  Each handler returns its exit
+status, its JSON document and its text, both built from the same derived
+data; ``main`` alone picks --format, adds the final newline and writes to
+stdout or --output, so a file holds exactly the bytes stdout would get.
+Under kirby --format svg the text is one SVG panel; kirby --panel all
+writes all four panels plus the JSON document into its --output directory.
 
 Exit codes: 0 success, 1 domain error (invalid code, failed condition,
-failed trace step), 2 usage error (bad flags, malformed code text, a
-gluing letter that is not orientation reversing).
+failed trace step), 2 usage error (bad flags, an unknown trace script,
+--panel all without an output directory, malformed code text, a gluing
+letter that is not orientation reversing).
 """
 
 from __future__ import annotations
@@ -24,18 +27,6 @@ from .groups import word_str
 from .kirby import KirbyError
 
 
-def _write(text: str, path: str | None):
-    if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True)
-
-
 def _pairings(code: str):
     return census.build_pairings(census.parse_code(code))
 
@@ -44,31 +35,58 @@ def _word_json(word):
     return [{"gen": sym, "sign": sign} for sym, sign in word]
 
 
+def _presentation_doc(pres):
+    return {
+        "generators": list(pres.generators),
+        "relators": [_word_json(r) for r in pres.relators],
+    }
+
+
+def _cycle_listing(cycles, name):
+    """JSON entries and text rows of a ridge-cycle listing; ``name`` names
+    a side (by its label on the base, by ``census.side_name`` on the cover)."""
+    entries, rows = [], []
+    for i, c in enumerate(cycles, 1):
+        entries.append(
+            {
+                "nodes": [[name(a), name(p)] for a, p in c.nodes],
+                "arrows": _word_json(c.arrows),
+                "relator": _word_json(c.relator),
+            }
+        )
+        steps = []
+        for (a, p), (letter, sign) in zip(c.nodes, c.arrows):
+            arrow = letter if sign == 1 else f"({letter})⁻¹"
+            steps.append(f"{name(a)}∩{name(p)} -[{arrow}]->")
+        steps.append(f"{name(c.nodes[0][0])}∩{name(c.nodes[0][1])}")
+        rows.append(f"{i:2}. " + " ".join(steps))
+    return entries, rows
+
+
 # -- subcommand handlers ------------------------------------------------------
+# Each returns (exit status, JSON document, text).
 
 
 def cmd_validate(args):
     report = census.validate(args.code)
-    if args.format == "json":
-        doc = {
-            "code": report.code,
-            "ok": report.ok,
-            "checks": [
-                {"name": n, "passed": p, "detail": d} for n, p, d in report.checks
-            ],
-            "cycle_lengths": report.cycle_lengths,
-        }
-        _write(_json_text(doc), args.output)
-    else:
-        _write(report.render(), args.output)
-    return 0 if report.ok else 1
+    doc = {
+        "code": report.code,
+        "ok": report.ok,
+        "checks": [
+            {"name": n, "passed": p, "detail": d} for n, p, d in report.checks
+        ],
+        "cycle_lengths": report.cycle_lengths,
+    }
+    return (0 if report.ok else 1), doc, report.render()
 
 
 def cmd_pairings(args):
     pairings = _pairings(args.code)
     eps = census.orientation_character(pairings)
-    if args.format == "json":
-        doc = [
+    doc = []
+    lines = [f"side pairings for code {args.code}"]
+    for p in pairings:
+        doc.append(
             {
                 "letter": p.letter,
                 "source": p.source.label,
@@ -76,49 +94,18 @@ def cmd_pairings(args):
                 "k": list(p.kpart),
                 "orientation": eps[p.letter],
             }
-            for p in pairings
-        ]
-        _write(_json_text(doc), args.output)
-        return 0
-    lines = [f"side pairings for code {args.code}"]
-    for p in pairings:
+        )
         k = "(" + ",".join(f"{s:+d}" for s in p.kpart) + ")"
         o = "preserving" if eps[p.letter] == 1 else "reversing"
         lines.append(f"  {p.letter}: {p.source.label:3} -> {p.target.label:3}  k={k}  {o}")
-    _write("\n".join(lines), args.output)
-    return 0
-
-
-def _cycle_rows(cycles, name_fn):
-    rows = []
-    for i, c in enumerate(cycles, 1):
-        steps = []
-        for (a, p), (letter, sign) in zip(c.nodes, c.arrows):
-            arrow = letter if sign == 1 else f"({letter})⁻¹"
-            steps.append(f"{name_fn(a)}∩{name_fn(p)} -[{arrow}]->")
-        steps.append(f"{name_fn(c.nodes[0][0])}∩{name_fn(c.nodes[0][1])}")
-        rows.append(f"{i:2}. " + " ".join(steps))
-    return rows
+    return 0, doc, "\n".join(lines)
 
 
 def cmd_cycles(args):
-    pairings = _pairings(args.code)
-    cycles = census.ridge_cycles(pairings)
-    if args.format == "json":
-        doc = [
-            {
-                "nodes": [list(n) for n in c.nodes],
-                "arrows": [{"gen": l, "sign": s} for l, s in c.arrows],
-                "relator": _word_json(c.relator),
-            }
-            for c in cycles
-        ]
-        _write(_json_text(doc), args.output)
-        return 0
-    rows = [f"{len(cycles)} ridge cycles for code {args.code}"]
-    rows += _cycle_rows(cycles, lambda s: s)
-    _write("\n".join(rows), args.output)
-    return 0
+    cycles = census.ridge_cycles(_pairings(args.code))
+    entries, rows = _cycle_listing(cycles, str)
+    title = f"{len(cycles)} ridge cycles for code {args.code}"
+    return 0, entries, "\n".join([title] + rows)
 
 
 def cmd_presentation(args):
@@ -129,15 +116,7 @@ def cmd_presentation(args):
         pres = groups.add_relations(
             pres, [w for _, w in kirby.filling_pairs(pairings)]
         )
-    if args.format == "json":
-        doc = {
-            "generators": list(pres.generators),
-            "relators": [_word_json(r) for r in pres.relators],
-        }
-        _write(_json_text(doc), args.output)
-        return 0
-    _write(pres.render(), args.output)
-    return 0
+    return 0, _presentation_doc(pres), pres.render()
 
 
 def cmd_cusps(args):
@@ -149,26 +128,22 @@ def cmd_cusps(args):
     choices = cusps.find_filling_translations(stabs)
     invariants = [cusps.cusp_invariants(s, eps) for s in stabs]
     alternates = cusps.published_alternate_fillings(pairings, classes)
-    if args.format == "json":
-        doc = []
-        for cls, stab, choice, inv in zip(classes, stabs, choices, invariants):
-            doc.append(
-                {
-                    "representative": [str(x) for x in cls.representative],
-                    "size": len(cls),
-                    "stabilizer_generators": [word_str(w) for w, _ in stab.generators],
-                    "translation": word_str(choice.chosen) if choice.chosen else None,
-                    "translation_alternates": [word_str(w) for w in choice.alternates],
-                    "orientable": inv.orientable,
-                    "holonomy_order": inv.holonomy_order,
-                    "h1": {"torsion": list(inv.h1_torsion), "rank": inv.h1_rank},
-                    "label": inv.label,
-                }
-            )
-        _write(_json_text(doc), args.output)
-        return 0
+    doc = []
     lines = [f"{len(classes)} cusps for code {args.code}"]
     for cls, stab, choice, inv in zip(classes, stabs, choices, invariants):
+        doc.append(
+            {
+                "representative": [str(x) for x in cls.representative],
+                "size": len(cls),
+                "stabilizer_generators": [word_str(w) for w, _ in stab.generators],
+                "translation": word_str(choice.chosen) if choice.chosen else None,
+                "translation_alternates": [word_str(w) for w in choice.alternates],
+                "orientable": inv.orientable,
+                "holonomy_order": inv.holonomy_order,
+                "h1": {"torsion": list(inv.h1_torsion), "rank": inv.h1_rank},
+                "label": inv.label,
+            }
+        )
         rep = "(" + ",".join(str(x) for x in cls.representative) + ")"
         lines.append(f"  cusp at {rep} ({len(cls)} vertices)")
         lines.append(f"    stabilizer generators: {len(stab.generators)}")
@@ -190,8 +165,7 @@ def cmd_cusps(args):
             f"  published alternate translation {word_str(alt.word)} for the "
             f"cusp at {rep} (valid: fixes a class vertex, pure translation)"
         )
-    _write("\n".join(lines), args.output)
-    return 0
+    return 0, doc, "\n".join(lines)
 
 
 def cmd_cover(args):
@@ -200,47 +174,26 @@ def cmd_cover(args):
     dc = cover_mod.build_double_cover(pairings, eps, args.alpha)
     census.require_manifold(pairings)
     cycles = cover_mod.cover_ridge_cycles(dc)
-    if args.format == "json":
-        doc = {
-            "alpha": dc.alpha,
-            "boundary_sides": [census.side_name(s) for s in dc.boundary_sides],
-            "pairings": [
-                {
-                    "name": p.name,
-                    "source": census.side_name(p.source),
-                    "target": census.side_name(p.target),
-                    "rule": p.rule,
-                }
-                for p in dc.pairings
-            ],
-            "cycles": [
-                {
-                    "nodes": [
-                        [census.side_name(a), census.side_name(p)]
-                        for a, p in c.nodes
-                    ],
-                    "arrows": [{"gen": n, "sign": s} for n, s in c.arrows],
-                    "relator": _word_json(c.relator),
-                }
-                for c in cycles
-            ],
-        }
-        _write(_json_text(doc), args.output)
-        return 0
+    entries, rows = _cycle_listing(cycles, census.side_name)
+    doc = {
+        "alpha": dc.alpha,
+        "boundary_sides": [census.side_name(s) for s in dc.boundary_sides],
+        "pairings": [],
+        "cycles": entries,
+    }
     lines = [
         f"double cover of {args.code} glued along {dc.alpha}: "
         f"{len(dc.boundary_sides)} boundary sides, "
         f"{sum(1 for p in dc.pairings if p.rule != 'wall')} nontrivial pairings"
     ]
     for p in dc.pairings:
-        lines.append(
-            f"  {p.name}: {census.side_name(p.source)} -> "
-            f"{census.side_name(p.target)}  [{p.rule}]"
+        source, target = census.side_name(p.source), census.side_name(p.target)
+        doc["pairings"].append(
+            {"name": p.name, "source": source, "target": target, "rule": p.rule}
         )
+        lines.append(f"  {p.name}: {source} -> {target}  [{p.rule}]")
     lines.append(f"{len(cycles)} ridge cycles:")
-    lines += _cycle_rows(cycles, census.side_name)
-    _write("\n".join(lines), args.output)
-    return 0
+    return 0, doc, "\n".join(lines + rows)
 
 
 def cmd_invariants(args):
@@ -249,51 +202,42 @@ def cmd_invariants(args):
         kirby.invariant_report(s, args.code, args.alpha, max_cosets=args.max_cosets)
         for s in stages
     ]
-    if args.format == "json":
-        doc = [
-            {
-                "stage": r.stage,
-                "euler_characteristic": r.euler_characteristic,
-                "h1": {"torsion": list(r.h1_torsion), "rank": r.h1_rank},
-                "group_order": r.group_order,
-                "orientable": r.orientable,
-                "remark": r.candidate_remark,
-            }
-            for r in reports
-        ]
-        _write(_json_text(doc), args.output)
-        return 0
-    _write("\n".join(r.render() for r in reports), args.output)
-    return 0
+    doc = [
+        {
+            "stage": r.stage,
+            "euler_characteristic": r.euler_characteristic,
+            "h1": {"torsion": list(r.h1_torsion), "rank": r.h1_rank},
+            "group_order": r.group_order,
+            "orientable": r.orientable,
+            "remark": r.candidate_remark,
+        }
+        for r in reports
+    ]
+    return 0, doc, "\n".join(r.render() for r in reports)
 
 
 def cmd_kirby(args):
+    """Under --format svg the text is the panel's SVG; --panel all writes
+    its own report directory and returns no text."""
     d = kirby.assemble_diagram(
         args.code, want_cover=args.cover, fill=args.fill, alpha=args.alpha
     )
     if args.format == "svg":
         if args.panel == "all":
-            if not args.output:
-                raise KirbyError("--panel all needs --output DIR")
             os.makedirs(args.output, exist_ok=True)
             for panel in kirby.PANELS:
                 path = os.path.join(args.output, f"{panel}.svg")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(kirby.export_svg(d, panel))
-            with open(
-                os.path.join(args.output, "diagram.json"), "w", encoding="utf-8"
-            ) as fh:
+            path = os.path.join(args.output, "diagram.json")
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(kirby.json_text(d))
             sys.stdout.write(
                 f"wrote {', '.join(p + '.svg' for p in kirby.PANELS)} and "
                 f"diagram.json to {args.output}\n"
             )
-            return 0
-        _write(kirby.export_svg(d, args.panel), args.output)
-        return 0
-    if args.format == "json":
-        _write(kirby.json_text(d), args.output)
-        return 0
+            return 0, None, None
+        return 0, kirby.export_json(d), kirby.export_svg(d, args.panel)
     counts = d.counts()
     lines = [
         f"{d.source} diagram for {args.code}"
@@ -305,35 +249,21 @@ def cmd_kirby(args):
         f"killing {sum(1 for h in d.two_handles if h.origin == 'killing')})",
         f"  3-handles: {counts['three_handles']}, 4-handles: {counts['four_handles']}",
     ]
-    by_panel = {}
-    for h in d.two_handles:
-        by_panel.setdefault(h.panel, []).append(h.id)
     for panel in kirby.PANELS:
-        ids = by_panel.get(panel, [])
-        lines.append(f"  panel {panel}: {len(ids)} 2-handles")
-    _write("\n".join(lines), args.output)
-    return 0
+        count = sum(1 for h in d.two_handles if h.panel == panel)
+        lines.append(f"  panel {panel}: {count} 2-handles")
+    return 0, kirby.export_json(d), "\n".join(lines)
 
 
 def cmd_trace(args):
-    if args.script not in kirby.SHIPPED_SCRIPTS:
-        raise KirbyError(
-            f"unknown script {args.script!r}; shipped: "
-            f"{sorted(kirby.SHIPPED_SCRIPTS)}"
-        )
     d = kirby.assemble_diagram(args.code, want_cover=True, fill=True, alpha=args.alpha)
     result = kirby.simplification_trace(d, kirby.SHIPPED_SCRIPTS[args.script])
-    if args.format == "json":
-        doc = {
-            "log": list(result.log),
-            "final_counts": result.diagram.counts(),
-            "final_presentation": {
-                "generators": list(result.presentation.generators),
-                "relators": [_word_json(r) for r in result.presentation.relators],
-            },
-        }
-        _write(_json_text(doc), args.output)
-        return 0
+    counts = result.diagram.counts()
+    doc = {
+        "log": list(result.log),
+        "final_counts": counts,
+        "final_presentation": _presentation_doc(result.presentation),
+    }
     lines = [
         f"trace {args.script} on the filled cover diagram of {args.code}",
         "note: moves are tracked on attaching words (cancellations rewrite, "
@@ -341,13 +271,11 @@ def cmd_trace(args):
     ]
     lines += [f"  {entry}" for entry in result.log]
     lines.append(f"final: {result.presentation.render()}")
-    c = result.diagram.counts()
     lines.append(
-        f"final handles: {c['one_handles']} one / {c['two_handles']} two / "
-        f"{c['three_handles']} three / {c['four_handles']} four"
+        f"final handles: {counts['one_handles']} one / {counts['two_handles']} two / "
+        f"{counts['three_handles']} three / {counts['four_handles']} four"
     )
-    _write("\n".join(lines), args.output)
-    return 0
+    return 0, doc, "\n".join(lines)
 
 
 # -- parser -------------------------------------------------------------------
@@ -387,7 +315,7 @@ def build_parser():
     p.add_argument("--alpha")
     p.add_argument("--panel", choices=kirby.PANELS + ("all",), default="xy")
     p = add("trace", cmd_trace, help="replay a shipped cancellation script")
-    p.add_argument("--script", required=True)
+    p.add_argument("--script", required=True, choices=sorted(kirby.SHIPPED_SCRIPTS))
     p.add_argument("--alpha")
 
     return parser
@@ -396,14 +324,29 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "kirby" and args.format == "svg" and args.panel == "all"
+            and not args.output):
+        parser.error("--panel all needs --output DIR")
     try:
-        return args.handler(args)
+        status, doc, text = args.handler(args)
     except (ParseError, cover_mod.GluingLetterError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except (CensusError, KirbyError, groups.GroupError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    if text is None:  # kirby --panel all wrote its report directory
+        return status
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True)
+    if not text.endswith("\n"):
+        text += "\n"
+    if args.output is None or args.output == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return status
 
 
 if __name__ == "__main__":

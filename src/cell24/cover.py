@@ -53,16 +53,11 @@ class DoubleCover:
     boundary_sides: tuple      # the 46 true boundary sides
     eps: dict                  # base orientation character
     base_pairings: tuple
+    names: dict                # Reidemeister-Schreier name per (sheet, letter)
     domain: census.Domain = field(repr=False)  # the two-sheet step table
 
     def wall_pairing(self) -> CoverPairing:
         return next(p for p in self.pairings if p.rule == "wall")
-
-    def generator_names(self):
-        """The 23 nontrivial pairing names, in kernel-presentation order."""
-        return groups.double_cover_generators(
-            tuple(p.letter for p in self.base_pairings), self.eps, self.alpha
-        )
 
 
 class GluingLetterError(ValueError):
@@ -123,6 +118,7 @@ def build_double_cover(pairings, eps, alpha: str | None = None) -> DoubleCover:
         boundary_sides=tuple(s for s in sides if s not in glued),
         eps=dict(eps),
         base_pairings=tuple(pairings),
+        names=names,
         domain=census.sheeted_domain(
             [(p.name, p.source, p.target) for p in cover_pairings],
             census.moves_by_side(pairings, build_polytope()),
@@ -140,7 +136,7 @@ def cover_presentation(cover: DoubleCover, cycles) -> "groups.Presentation":
     """Presentation read off the doubled domain and its ridge cycles: one
     generator per nontrivial pairing, one relator per cover ridge cycle."""
     return groups.Presentation(
-        generators=cover.generator_names(),
+        generators=groups.double_cover_generators(cover.names),
         relators=tuple(c.relator for c in cycles),
     )
 
@@ -157,16 +153,13 @@ def lift_filling_words(base_words, cover: DoubleCover):
     the transversal letter, e.g. the length-four cusp word becomes the
     four-factor product over the reversing generators.
     """
-    names = double_cover_generator_names(
-        tuple(p.letter for p in cover.base_pairings), cover.eps, cover.alpha
-    )
     out = []
     for w in base_words:
         if eps_of_word(w, cover.eps) != 1:
             raise groups.GroupError(
                 f"filling word {groups.word_str(w)} is not orientation preserving"
             )
-        out.append(groups.rs_rewrite(w, cover.eps, cover.alpha, names))
+        out.append(groups.rs_rewrite(w, cover.eps, cover.alpha, cover.names))
     return out
 
 

@@ -4,19 +4,14 @@
 Isometries are integer Lorentz matrices (see moebius) and cusp lattices
 are integral (see flat3); only ideal-vertex coordinates use rationals, and
 layout coordinates live in Q(sqrt 2), so every comparison in the package is
-exact.
+exact.  The layout only adds, negates, subtracts, multiplies and compares
+its coordinates, so QS2 carries the ring operations, equality and an exact
+sign, and no division or ordering.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def rat_str(q: Fraction) -> str:
-    """Render a rational as ``p`` or ``p/q`` (denominator always positive)."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 class QS2:
@@ -36,7 +31,7 @@ class QS2:
     def __setattr__(self, *args):
         raise AttributeError("QS2 values are immutable")
 
-    # -- field operations ---------------------------------------------------
+    # -- ring operations ----------------------------------------------------
 
     @staticmethod
     def _coerce(x) -> "QS2":
@@ -63,12 +58,6 @@ class QS2:
             return NotImplemented
         return QS2(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -77,26 +66,7 @@ class QS2:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QS2":
-        # 1/(a + b r) = (a - b r) / (a^2 - 2 b^2); the norm vanishes only at 0.
-        n = self.a * self.a - 2 * self.b * self.b
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        return QS2(self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    # -- order and identity -------------------------------------------------
+    # -- sign and identity --------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(2) in {-1, 0, +1}."""
@@ -118,9 +88,6 @@ class QS2:
             return 1 if bigger_is_a else -1
         return -1 if bigger_is_a else 1
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -130,34 +97,8 @@ class QS2:
     def __hash__(self):
         return hash((self.a, self.b))
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
     def __float__(self):
         return float(self.a) + float(self.b) * 2 ** 0.5
 
-    # -- text form ------------------------------------------------------------
-
-    def __str__(self):
-        if self.b == 0:
-            return rat_str(self.a)
-        bs = f"{rat_str(abs(self.b))}*sqrt2" if abs(self.b) != 1 else "sqrt2"
-        if self.a == 0:
-            return bs if self.b > 0 else "-" + bs
-        op = "+" if self.b > 0 else "-"
-        return f"{rat_str(self.a)} {op} {bs}"
-
     def __repr__(self):
         return f"QS2({self.a!r}, {self.b!r})"
-
-
-SQRT2 = QS2(0, 1)

@@ -150,14 +150,12 @@ def double_cover_generator_names(generators, eps, alpha: str) -> dict:
     return names
 
 
-def double_cover_generators(generators, eps, alpha: str) -> tuple:
-    """The 2n - 1 kernel generator names: the lifts of each base generator
-    in transversal order."""
-    names = double_cover_generator_names(generators, eps, alpha)
-    return tuple(
-        names[(sheet, x)] for x in generators for sheet in (0, 1)
-        if names[(sheet, x)] is not None
-    )
+def double_cover_generators(names) -> tuple:
+    """The 2n - 1 kernel generator names of the table ``names`` (from
+    ``double_cover_generator_names``): its non-degenerate entries, whose
+    insertion order is the lifts of each base generator in transversal
+    order."""
+    return tuple(name for name in names.values() if name is not None)
 
 
 def rs_rewrite(word, eps, alpha: str, names) -> Word:
@@ -212,7 +210,7 @@ def rs_double_cover(p: Presentation, eps: dict, alpha: str) -> Presentation:
         relators.append(rs_rewrite(r, eps, alpha, names))
         conj = word_mul(t, r, word_inverse(t))
         relators.append(rs_rewrite(conj, eps, alpha, names))
-    return Presentation(double_cover_generators(p.generators, eps, alpha), tuple(relators))
+    return Presentation(double_cover_generators(names), tuple(relators))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from cell24 import census, cover, cusps, flat3, kirby
+from cell24 import census, cover, cusps, flat3, groups, kirby
 from cell24.cli import main
 from cell24.polytope import build_polytope
 
@@ -141,9 +141,17 @@ def test_trace(capsys):
 
 
 def test_trace_unknown_script(capsys):
-    code, _, err = run(capsys, "trace", "146928", "--script", "nope")
-    assert code == 1
-    assert "unknown script" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "146928", "--script", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_report_directory_needs_output(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kirby", "146928", "--cover", "--fill", "--format", "svg", "--panel", "all"])
+    assert exc.value.code == 2
+    assert "--panel all needs --output DIR" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():
@@ -183,6 +191,22 @@ def test_cusps_builds_each_cusp_group_once(capsys, monkeypatch):
         )
     assert run(capsys, "cusps", "146928")[0] == 0
     assert calls == {"holonomy_closure": 5, "affine_parts": 106}
+
+
+def test_cover_builds_its_generator_names_once(capsys, monkeypatch):
+    # The Reidemeister-Schreier name table is built once per double cover
+    # (kept on DoubleCover.names) and once per rewritten presentation.
+    calls = []
+    original = groups.double_cover_generator_names
+    for module in (groups, cover):
+        monkeypatch.setattr(
+            module, "double_cover_generator_names", lambda *a: calls.append(a) or original(*a)
+        )
+    assert run(capsys, "invariants", "146928")[0] == 0
+    assert len(calls) == 4
+    calls.clear()
+    assert run(capsys, "kirby", "146928", "--cover", "--fill")[0] == 0
+    assert len(calls) == 1
 
 
 def test_cusp_geometry_error_is_a_domain_error(capsys, monkeypatch):

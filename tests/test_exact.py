@@ -1,23 +1,13 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from cell24.exact import QS2, SQRT2
+from cell24.exact import QS2
 
 
 def test_field_examples():
     # (1 + r)(-1 + r) = r^2 - 1 = 1
     assert QS2(1, 1) * QS2(-1, 1) == QS2(1, 0)
-    # 1/r = r/2
-    assert QS2(0, 1).inverse() == QS2(0, Fraction(1, 2))
-    assert 1 / SQRT2 == QS2(0, Fraction(1, 2))
     assert QS2(1, 1) + QS2(-1, 1) == QS2(0, 2)
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        QS2(1, 1) / QS2(0, 0)
 
 
 def test_sign_examples():
@@ -41,8 +31,6 @@ def test_arithmetic_against_float_oracle():
         x, y = _random_qs2(rng), _random_qs2(rng)
         assert abs(float(x + y) - (float(x) + float(y))) < 1e-9
         assert abs(float(x * y) - float(x) * float(y)) < 1e-6
-        if not y.is_zero():
-            assert abs(float(x / y) - float(x) / float(y)) < 1e-6
 
 
 def test_field_laws_exact():
@@ -62,13 +50,3 @@ def test_sign_is_multiplicative():
         x, y = _random_qs2(rng), _random_qs2(rng)
         assert x.sign() * y.sign() == (x * y).sign()
 
-
-def test_text_form():
-    cases = [QS2(0), QS2(3), QS2(0, 1), QS2(0, -1), QS2(1, 1), QS2(-1, Fraction(-3, 4))]
-    assert [str(x) for x in cases] == ["0", "3", "sqrt2", "-sqrt2", "1 + sqrt2", "-1 - 3/4*sqrt2"]
-
-
-def test_ordering():
-    assert QS2(1, 1) > QS2(2, 0)           # 1 + sqrt2 > 2
-    assert QS2(1, -1) < QS2(0, 0)
-    assert sorted([QS2(3), QS2(1, 1), QS2(0, 2)]) == [QS2(1, 1), QS2(0, 2), QS2(3)]

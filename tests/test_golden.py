@@ -3,7 +3,8 @@
 Each README invocation on 146928 (text and JSON, every stage, the cover
 along e, the base, cover and filled Kirby documents, the four SVG panels,
 the report directory and the trace), plus a few other codes, is pinned by
-the sha256 of its stdout and of every file it writes.  A change that moves
+the sha256 of its stdout and of every file it writes; with ``-o FILE`` each
+invocation writes exactly its stdout bytes to the file.  A change that moves
 one byte of this output fails here; regenerate the digests only for an
 intended output change, and say so in CHANGES.md.
 """
@@ -124,6 +125,17 @@ def test_stdout_is_unchanged(capsys, name):
     out = capsys.readouterr().out
     assert code == (1 if name.startswith("validate-a5e164") else 0)
     assert sha(out) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_output_file_matches_stdout(capsys, tmp_path, name):
+    # -o FILE holds exactly the bytes the same invocation prints.
+    path = tmp_path / "out"
+    assert main(INVOCATIONS[name] + ["-o", str(path)]) == (
+        1 if name.startswith("validate-a5e164") else 0
+    )
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
 
 
 def test_report_directory_is_unchanged(capsys, tmp_path, monkeypatch):
