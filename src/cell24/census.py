@@ -16,9 +16,9 @@ one-sheet case, and cover builds the two-sheet orientable double cover.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import prod
+from typing import NamedTuple
 
 from . import groups
 from .moebius import MoebiusWord, diagonal, lorentz_mul, reflection
@@ -89,8 +89,7 @@ def print_code(kvecs) -> str:
     return "".join(f"{sum(1 << j for j in range(4) if k[j] == -1):x}" for k in kvecs)
 
 
-@dataclass(frozen=True)
-class SidePairing:
+class SidePairing(NamedTuple):
     letter: str
     source: Side
     target: Side
@@ -169,8 +168,7 @@ def eps_of_word(word, eps) -> int:
     return prod(eps[sym] for sym, _sign in word)
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """The unique pairing move leaving a given side: the pairing whose source
     it is, or the inverse of the pairing whose target it is.
 
@@ -213,8 +211,7 @@ def side_name(side) -> str:
     return label if sheet == 0 else label + "-"
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """A fundamental domain made of sheets (copies) of the 24-cell.
 
     Formal sides are (sheet, label).  ``pairs`` lists the side pairings as
@@ -252,7 +249,6 @@ def base_domain(pairings, polytope: Polytope24 | None = None) -> Domain:
     return sheeted_domain(pairs, moves_by_side(pairings, poly))
 
 
-@dataclass(frozen=True)
 class RidgeCycle:
     """One ridge cycle in canonical traversal form.
 
@@ -263,10 +259,13 @@ class RidgeCycle:
     labels on the code's polytope and (sheet, label) on a sheeted domain.
     """
 
-    nodes: tuple      # ((a, p), ...) side pairs, length = cycle length
-    arrows: tuple     # ((name, sign), ...)
-    relator: tuple    # Word: ((name, sign), ...)
-    ridges: frozenset # the unordered ridges visited
+    __slots__ = ("nodes", "arrows", "relator", "ridges")
+
+    def __init__(self, nodes, arrows, relator, ridges):
+        self.nodes = nodes        # ((a, p), ...) side pairs, length = cycle length
+        self.arrows = arrows      # ((name, sign), ...)
+        self.relator = relator    # Word: ((name, sign), ...)
+        self.ridges = ridges      # frozenset of the unordered ridges visited
 
     def __len__(self):
         return len(self.arrows)
@@ -464,12 +463,12 @@ def presentation(pairings, cycles) -> "groups.Presentation":
     )
 
 
-@dataclass
 class ValidationReport:
-    code: str
-    ok: bool = False
-    checks: list = field(default_factory=list)
-    cycle_lengths: dict = field(default_factory=dict)
+    def __init__(self, code: str):
+        self.code = code
+        self.ok = False
+        self.checks = []
+        self.cycle_lengths = {}
 
     def add(self, name: str, passed: bool, detail: str = ""):
         self.checks.append((name, passed, detail))

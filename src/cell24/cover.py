@@ -13,7 +13,7 @@ the sheet flips at every orientation-reversing letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import census, groups
 from .census import LETTERS, eps_of_word, word_isometry
@@ -25,8 +25,7 @@ from .polytope import SIDE_ORDER, build_polytope
 CoverSide = tuple  # (sheet, base side label)
 
 
-@dataclass(frozen=True)
-class CoverPairing:
+class CoverPairing(NamedTuple):
     name: str
     source: CoverSide
     target: CoverSide
@@ -45,8 +44,7 @@ RULES = {
 }
 
 
-@dataclass(frozen=True)
-class DoubleCover:
+class DoubleCover(NamedTuple):
     alpha: str
     pairings: tuple            # 24 CoverPairing, one trivial (the wall)
     sides: tuple               # all 48 formal sides
@@ -54,7 +52,7 @@ class DoubleCover:
     eps: dict                  # base orientation character
     base_pairings: tuple
     names: dict                # Reidemeister-Schreier name per (sheet, letter)
-    domain: census.Domain = field(repr=False)  # the two-sheet step table
+    domain: census.Domain      # the two-sheet step table
 
     def wall_pairing(self) -> CoverPairing:
         return next(p for p in self.pairings if p.rule == "wall")

@@ -13,8 +13,8 @@ holonomy, lattice and H1 of the cross-section off them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import flat3
 from .census import (
@@ -38,27 +38,27 @@ from .moebius import TRANSLATION, affine_parts, classify_parabolic
 from .polytope import SIDE_INDEX, build_polytope
 
 
-@dataclass(frozen=True)
 class CuspClass:
-    vertices: tuple          # class members, descending
-    representative: tuple    # lexicographically greatest member
-    tree_words: dict         # vertex -> Word carrying it to the representative
-    tree_edges: frozenset    # (vertex, letter, sign) moves used by the tree
+    __slots__ = ("vertices", "representative", "tree_words", "tree_edges")
+
+    def __init__(self, vertices, representative, tree_words, tree_edges):
+        self.vertices = vertices              # class members, descending
+        self.representative = representative  # lexicographically greatest member
+        self.tree_words = tree_words  # vertex -> Word carrying it to the representative
+        self.tree_edges = tree_edges  # (vertex, letter, sign) moves used by the tree
 
     def __len__(self):
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class CuspStabilizer:
+class CuspStabilizer(NamedTuple):
     cusp: CuspClass
     generators: tuple        # of (Word, MoebiusWord), each fixing the representative
     affines: tuple           # affine parts (Q, t) at the representative:
                              # each generator's, then its inverse's
 
 
-@dataclass(frozen=True)
-class CuspInvariants:
+class CuspInvariants(NamedTuple):
     representative: tuple
     orientable: bool
     holonomy_order: int
@@ -68,8 +68,7 @@ class CuspInvariants:
     label: str               # Wolf-style tag or "ambiguous"
 
 
-@dataclass(frozen=True)
-class FillingChoice:
+class FillingChoice(NamedTuple):
     cusp: CuspClass
     chosen: tuple | None     # shortest translation word found, or None
     alternates: tuple        # other minimal-length translations (mod inverses)
@@ -281,8 +280,7 @@ ALTERNATE_FILLING_WORDS = {
 }
 
 
-@dataclass(frozen=True)
-class ValidatedFilling:
+class ValidatedFilling(NamedTuple):
     cusp: CuspClass
     word: tuple
     fixed_vertex: tuple

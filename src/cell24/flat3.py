@@ -29,7 +29,7 @@ back as "ambiguous".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import smith_normal_form
 
@@ -37,14 +37,28 @@ I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
+    # Unrolled, as moebius.lorentz_mul: the translation search spends most
+    # of its time in these products.
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (
+        (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+         a00 * b02 + a01 * b12 + a02 * b22),
+        (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+         a10 * b02 + a11 * b12 + a12 * b22),
+        (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+         a20 * b02 + a21 * b12 + a22 * b22),
     )
 
 
 def mat_vec(a, v):
-    return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    v0, v1, v2 = v
+    return (
+        a00 * v0 + a01 * v1 + a02 * v2,
+        a10 * v0 + a11 * v1 + a12 * v2,
+        a20 * v0 + a21 * v1 + a22 * v2,
+    )
 
 
 def det3(q):
@@ -69,9 +83,9 @@ def adjugate(q):
 
 def affine_mul(f, g):
     """(Q1, t1) o (Q2, t2), acting as x -> Q1(Q2 x + t2) + t1."""
-    q1, t1 = f
-    q2, t2 = g
-    return mat_mul(q1, q2), tuple(a + b for a, b in zip(mat_vec(q1, t2), t1))
+    (q1, (s0, s1, s2)), (q2, t2) = f, g
+    x, y, z = mat_vec(q1, t2)
+    return mat_mul(q1, q2), (x + s0, y + s1, z + s2)
 
 
 AFFINE_ID = (I3, (0, 0, 0))
@@ -237,8 +251,7 @@ def bieberbach_h1(affines):
     return order, torsion, rank
 
 
-@dataclass(frozen=True)
-class FlatType:
+class FlatType(NamedTuple):
     name: str
     orientable: bool
     hol_gens: tuple

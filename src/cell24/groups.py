@@ -12,7 +12,7 @@ enumeration, and a deterministic Tietze simplifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 Word = tuple  # of (symbol, +-1)
 
@@ -90,26 +90,23 @@ def word_str(word) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "generators relators")):
     """Generators plus relators, stored freely and cyclically reduced with
     empty relators dropped (duplicates kept)."""
 
-    generators: tuple
-    relators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        gens = tuple(self.generators)
+    def __new__(cls, generators, relators):
+        gens = tuple(generators)
         rels = []
-        for r in self.relators:
+        for r in relators:
             r = cyclic_reduce(r)
             for sym, _ in r:
                 if sym not in gens:
                     raise GroupError(f"relator uses unknown generator {sym!r}")
             if r:
                 rels.append(r)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relators", tuple(rels))
+        return super().__new__(cls, gens, tuple(rels))
 
     def render(self) -> str:
         gens = ",".join(self.generators)

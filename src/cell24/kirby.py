@@ -15,8 +15,8 @@ boundary adds one extra 3-handle and the single 4-handle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import census, cover as cover_mod, cusps, groups
 from .exact import QS2
@@ -46,15 +46,13 @@ class TraceError(KirbyError):
         self.diagram = diagram
 
 
-@dataclass(frozen=True)
-class OneHandle:
+class OneHandle(NamedTuple):
     label: str               # pairing name
     sides: tuple             # display names of the two balls
     positions: tuple         # two QS2 triples
 
 
-@dataclass(frozen=True)
-class TwoHandle:
+class TwoHandle(NamedTuple):
     id: str
     color: int               # palette index; -1 for killing/filling handles
     word: tuple              # attaching word over 1-handle labels
@@ -64,8 +62,7 @@ class TwoHandle:
     ridges: tuple = ()           # (sheet, side, side) triples for ridge handles
 
 
-@dataclass(frozen=True)
-class KirbyDiagram:
+class KirbyDiagram(NamedTuple):
     source: str              # "base" | "cover"
     one_handles: tuple
     two_handles: tuple
@@ -118,11 +115,11 @@ def _assign_colors(two_handles):
     out = []
     for h in two_handles:
         if h.origin != "ridge":
-            out.append(replace(h, color=-1))
+            out.append(h._replace(color=-1))
             continue
         idx = by_panel.get(h.panel, 0)
         by_panel[h.panel] = idx + 1
-        out.append(replace(h, color=idx))
+        out.append(h._replace(color=idx))
     return tuple(out)
 
 
@@ -184,12 +181,11 @@ def cancel_pair(d: KirbyDiagram, one_label: str, two_id: str) -> KirbyDiagram:
         )
     replacement = groups.solve_relator(two.word, hits[0])
     new_two = tuple(
-        replace(h, word=groups.substitute(h.word, one_label, replacement))
+        h._replace(word=groups.substitute(h.word, one_label, replacement))
         for h in d.two_handles
         if h.id != two_id
     )
-    return replace(
-        d,
+    return d._replace(
         one_handles=tuple(h for h in d.one_handles if h.label != one_label),
         two_handles=new_two,
         trace=d.trace + (f"cancel {one_label} with {two_id}",),
@@ -207,8 +203,7 @@ def delete_trivial(d: KirbyDiagram) -> KirbyDiagram:
             f"{len(trivial)} trivial 2-handles but only {d.three_handles} "
             "3-handles left"
         )
-    return replace(
-        d,
+    return d._replace(
         two_handles=tuple(h for h in d.two_handles if groups.free_reduce(h.word)),
         three_handles=d.three_handles - len(trivial),
         trace=d.trace
@@ -224,8 +219,7 @@ def diagram_presentation(d: KirbyDiagram) -> groups.Presentation:
     )
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     diagram: KirbyDiagram
     presentation: groups.Presentation
     log: tuple
@@ -361,8 +355,7 @@ def assemble_diagram(code: str, want_cover=False, fill=False, alpha=None):
     )
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     stage: str
     euler_characteristic: int | None
     h1_torsion: tuple

@@ -16,8 +16,8 @@ Convention (fixed once, used everywhere): words act on the left, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .flat3 import I3
 
@@ -86,8 +86,7 @@ def light_vector(v):
     return primitive(tuple(int(2 * x) for x in v) + (2,))
 
 
-@dataclass(frozen=True, slots=True)
-class MoebiusWord:
+class MoebiusWord(NamedTuple):
     """An isometry of H^4: one integer Lorentz matrix."""
 
     matrix: tuple = LORENTZ_IDENTITY

@@ -18,9 +18,9 @@ edge faces by integer lookups, tabulated once per (side, matrix).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .moebius import lorentz_apply, lorentz_dot, light_vector, primitive
 
@@ -62,22 +62,19 @@ SIDE_CENTERS = {
 SIDE_INDEX = {label: i for i, label in enumerate(SIDE_ORDER)}
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     label: str
     center: tuple
 
 
-@dataclass(frozen=True)
-class Ridge:
+class Ridge(NamedTuple):
     """Codimension-2 face: intersection of two adjacent sides."""
 
     sides: frozenset  # two side labels
     vertices: tuple   # the three ideal vertices on it
 
 
-@dataclass(frozen=True)
-class EdgeFace:
+class EdgeFace(NamedTuple):
     """Codimension-3 face: common intersection of three mutually adjacent
     sides, spanning two ideal vertices."""
 
@@ -110,37 +107,39 @@ class Polytope24:
         self._vertex_by_vector = {u: i for i, u in enumerate(self.vertex_vectors)}
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
 
-        self.vertex_sides = {
-            v: frozenset(
-                lab for lab, n in self.side_vectors.items() if lorentz_dot(u, n) == 0
-            )
-            for v, u in zip(self.vertices, self.vertex_vectors)
-        }
-        self.side_vertices = {
-            lab: tuple(v for v in self.vertices if lab in self.vertex_sides[v])
+        # Side sets by vertex index: the loops below run over indices, so
+        # no vertex (a tuple of Fractions) is hashed more than once.
+        sides_at = [
+            frozenset(lab for lab, n in self.side_vectors.items() if lorentz_dot(u, n) == 0)
+            for u in self.vertex_vectors
+        ]
+        self.vertex_sides = dict(zip(self.vertices, sides_at))
+        self.side_vertex_indices = {
+            lab: tuple(i for i, at in enumerate(sides_at) if lab in at)
             for lab in SIDE_ORDER
         }
-        self.side_vertex_indices = {
-            lab: tuple(self.vertex_index[v] for v in vs)
-            for lab, vs in self.side_vertices.items()
+        self.side_vertices = {
+            lab: tuple(self.vertices[i] for i in indices)
+            for lab, indices in self.side_vertex_indices.items()
         }
 
         ridges = []
         for la, lb in itertools.combinations(SIDE_ORDER, 2):
             if lorentz_dot(self.side_vectors[la], self.side_vectors[lb]) == 0:
                 verts = tuple(
-                    v for v in self.side_vertices[la]
-                    if lb in self.vertex_sides[v]
+                    self.vertices[i] for i in self.side_vertex_indices[la]
+                    if lb in sides_at[i]
                 )
                 ridges.append(Ridge(frozenset((la, lb)), verts))
         self.ridges = tuple(ridges)
         self.ridge_by_sides = {r.sides: r for r in self.ridges}
 
         faces = []
-        for (ia, va), (ib, vb) in itertools.combinations(enumerate(self.vertices), 2):
-            common = self.vertex_sides[va] & self.vertex_sides[vb]
+        for ia, ib in itertools.combinations(range(len(sides_at)), 2):
+            common = sides_at[ia] & sides_at[ib]
             if len(common) >= 3:
-                faces.append(EdgeFace(frozenset((va, vb)), common, (ia, ib)))
+                pair = frozenset((self.vertices[ia], self.vertices[ib]))
+                faces.append(EdgeFace(pair, common, (ia, ib)))
         self.edge_faces = tuple(faces)
         self.edge_face_by_vertices = {f.vertices: f for f in self.edge_faces}
         self.edge_face_at = {frozenset(f.ends): i for i, f in enumerate(faces)}

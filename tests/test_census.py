@@ -159,10 +159,8 @@ def test_corrupted_pairing_detected(pairings):
     # Swap one pairing's word for another's: cycle tracing and the edge-face
     # orbits must fail.  Move tables are keyed by the exact matrix, so the
     # corrupted move gets tables of its own, never the correct move's.
-    import dataclasses
-
     broken = list(pairings)
-    broken[0] = dataclasses.replace(broken[0], word=broken[2].word)
+    broken[0] = broken[0]._replace(word=broken[2].word)
     with pytest.raises(PoincareViolation):
         census.ridge_cycles(broken)
     with pytest.raises(PoincareViolation):

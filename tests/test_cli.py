@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import cell24
 from cell24 import census, cover, cusps, flat3, groups, kirby
 from cell24.cli import main
 from cell24.polytope import build_polytope
@@ -341,3 +344,20 @@ def test_invariants_require_a_manifold(capsys):
         "error: not a manifold gluing: the ridge cycles check fails "
         "(32 cycles, lengths {2: 16, 4: 16}, ridges partitioned)\n"
     )
+
+
+def test_cold_import_skips_dataclasses():
+    # The records need no generated code, so a fresh CLI process never
+    # pays for dataclasses and the inspect/ast/dis/tokenize it imports.
+    # Modules the interpreter loaded at start-up (a site .pth may import
+    # inspect) are not the CLI's doing.
+    src = os.path.dirname(os.path.dirname(cell24.__file__))
+    probe = (
+        "import sys; started = set(sys.modules); import cell24.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - started)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "[]\n"
