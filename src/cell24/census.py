@@ -21,7 +21,7 @@ from math import prod
 from typing import NamedTuple
 
 from . import groups
-from .moebius import MoebiusWord, diagonal, lorentz_mul, reflection
+from .moebius import LORENTZ_IDENTITY, MoebiusWord, diagonal, lorentz_mul, reflection
 from .polytope import SIDE_INDEX, Polytope24, Side, build_polytope
 
 
@@ -59,6 +59,7 @@ FAMILIES = (
 )
 
 LETTERS = tuple(letter for letters, _ in FAMILIES for letter in letters)
+LETTER_INDEX = {letter: i for i, letter in enumerate(LETTERS)}
 
 
 def parse_code(text: str):
@@ -114,18 +115,6 @@ def letter_inverse(word: MoebiusWord) -> MoebiusWord:
     return word.inverse()
 
 
-@lru_cache(maxsize=None)
-def _family_sides(poly: Polytope24):
-    """The four sides of each family, in ``FAMILIES`` order."""
-    return tuple(
-        tuple(
-            s for s in poly.sides.values()
-            if all((s.center[j] != 0) == (j in support) for j in range(4))
-        )
-        for _letters, support in FAMILIES
-    )
-
-
 def build_pairings(kvecs, polytope: Polytope24 | None = None):
     """The twelve side pairings of a decoded code.
 
@@ -136,25 +125,40 @@ def build_pairings(kvecs, polytope: Polytope24 | None = None):
     flip some support coordinate, so every family has two sources.
     """
     poly = polytope or build_polytope()
+    return [
+        p for index, k in zip(range(len(FAMILIES)), kvecs)
+        for p in _family_pairings(poly, index, tuple(k))
+    ]
+
+
+@lru_cache(maxsize=None)
+def _family_pairings(poly: Polytope24, index: int, k: tuple):
+    """A family's two pairings depend on nothing but its k: they are built
+    once per (polytope, family, k), at most 6 x 12, and every code with that
+    digit shares them.  A raised InvalidCode is not cached."""
+    letters, support = FAMILIES[index]
+    family_sides = [
+        s for s in poly.sides.values()
+        if all((s.center[j] != 0) == (j in support) for j in range(4))
+    ]
+    first_flip = next(j for j in support if k[j] == -1)
+    sources = sorted(
+        (s for s in family_sides if s.center[first_flip] == 1),
+        key=lambda s: s.center,
+        reverse=True,
+    )
     pairings = []
-    for k, (letters, support), family_sides in zip(kvecs, FAMILIES, _family_sides(poly)):
-        first_flip = next(j for j in support if k[j] == -1)
-        sources = sorted(
-            (s for s in family_sides if s.center[first_flip] == 1),
-            key=lambda s: s.center,
-            reverse=True,
-        )
-        for letter, src in zip(letters, sources):
-            tgt_center = tuple(sign * c for sign, c in zip(k, src.center))
-            tgt = next(s for s in family_sides if s.center == tgt_center)
-            word = pairing_word(poly.side_vectors[tgt.label], k)
-            if poly.side_image(word.lorentz(), src.label) != tgt.label:
-                raise InvalidCode(
-                    f"pairing {letter} does not carry its source sphere to "
-                    "its target sphere"
-                )
-            pairings.append(SidePairing(letter, src, tgt, k, word))
-    return pairings
+    for letter, src in zip(letters, sources):
+        tgt_center = tuple(sign * c for sign, c in zip(k, src.center))
+        tgt = next(s for s in family_sides if s.center == tgt_center)
+        word = pairing_word(poly.side_vectors[tgt.label], k)
+        if poly.side_image(word.lorentz(), src.label) != tgt.label:
+            raise InvalidCode(
+                f"pairing {letter} does not carry its source sphere to "
+                "its target sphere"
+            )
+        pairings.append(SidePairing(letter, src, tgt, k, word))
+    return tuple(pairings)
 
 
 def orientation_character(pairings) -> dict:
@@ -382,20 +386,42 @@ def ridge_cycles(pairings, polytope: Polytope24 | None = None):
     return _label_cycles(base_domain(pairings, poly), poly)
 
 
+def _letter_word(sym, pairings) -> MoebiusWord:
+    """The word of the pairing named ``sym``: at its ``LETTERS`` index among
+    a code's twelve pairings, else (cover pairings) looked up by name."""
+    i = LETTER_INDEX.get(sym, len(pairings))
+    if i < len(pairings) and pairings[i].name == sym:
+        return pairings[i].word
+    return {p.name: p.word for p in pairings}[sym]
+
+
 def word_isometry(word, pairings) -> MoebiusWord:
     """The isometry of a word over pairing names (SidePairing or cover
     pairings), composed under the left-action convention."""
-    if not word:
-        return MoebiusWord()
-    by_name = {p.name: p.word for p in pairings}
-    return MoebiusWord(reduce(lorentz_mul, [
-        (by_name[sym] if sign == 1 else letter_inverse(by_name[sym])).matrix
-        for sym, sign in word
-    ]))
+    matrices = []
+    for sym, sign in word:
+        w = _letter_word(sym, pairings)
+        matrices.append((w if sign == 1 else letter_inverse(w)).matrix)
+    return MoebiusWord(reduce(lorentz_mul, matrices or [LORENTZ_IDENTITY]))
+
+
+# Ridge-cycle relator -> its isometry, filled by ``cycle_moebius_word`` under
+# the flat key (word, sign, word, sign, ...) of the exact letter words passed
+# in, never names or digits, so a corrupted word gets its own product.  The
+# benchmark codes' 1,508 relators have 83 distinct products, interned once.
+_RELATOR_ISOMETRIES = {}
+_PRODUCTS = {}
 
 
 def cycle_moebius_word(cycle: RidgeCycle, pairings) -> MoebiusWord:
-    return word_isometry(cycle.relator, pairings)
+    key = ()
+    for sym, sign in cycle.relator:
+        key += (_letter_word(sym, pairings), sign)
+    word = _RELATOR_ISOMETRIES.get(key)
+    if word is None:
+        word = word_isometry(cycle.relator, pairings)
+        word = _RELATOR_ISOMETRIES[key] = _PRODUCTS.setdefault(word, word)
+    return word
 
 
 @lru_cache(maxsize=None)

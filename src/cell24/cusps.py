@@ -39,13 +39,14 @@ from .polytope import SIDE_INDEX, build_polytope
 
 
 class CuspClass:
-    __slots__ = ("vertices", "representative", "tree_words", "tree_edges")
+    __slots__ = ("vertices", "representative", "tree_words", "tree", "tree_edges")
 
-    def __init__(self, vertices, representative, tree_words, tree_edges):
+    def __init__(self, vertices, representative, tree_words, tree, tree_edges):
         self.vertices = vertices              # class members, descending
         self.representative = representative  # lexicographically greatest member
         self.tree_words = tree_words  # vertex -> Word carrying it to the representative
-        self.tree_edges = tree_edges  # (vertex, letter, sign) moves used by the tree
+        self.tree = tree              # the same words by vertex index
+        self.tree_edges = tree_edges  # (vertex index, letter, sign) moves used by the tree
 
     def __len__(self):
         return len(self.vertices)
@@ -75,56 +76,57 @@ class FillingChoice(NamedTuple):
     searched: int            # stabilizer elements inspected
 
 
-def _vertex_moves(v, moves, poly):
-    """Deterministically ordered pairing moves applicable at vertex v."""
+def _vertex_moves(i, moves, poly):
+    """Deterministically ordered pairing moves applicable at the vertex of
+    index i, as (letter, sign, image vertex index)."""
     out = []
-    for side_label in sorted(poly.vertex_sides[v], key=SIDE_INDEX.get):
+    for side_label in sorted(poly.sides_at[i], key=SIDE_INDEX.get):
         mv = moves[side_label]
-        image = mv.vertices[poly.vertex_index[v]]
+        image = mv.vertices[i]
         if image is None:
             raise PoincareViolation(
-                f"pairing {mv.letter} maps vertex {v} off the vertex set"
+                f"pairing {mv.letter} maps vertex {poly.vertices[i]} off the vertex set"
             )
-        out.append((mv.letter, mv.sign, poly.vertices[image]))
+        out.append((mv.letter, mv.sign, image))
     return out
 
 
 def vertex_classes(pairings):
-    """Orbit classes of the 24 ideal vertices under the pairing moves."""
+    """Orbit classes of the 24 ideal vertices under the pairing moves.
+
+    Vertices are walked by index (``poly.vertices`` descends), so no
+    vertex is hashed until the public ``tree_words`` is built."""
     poly = build_polytope()
     moves = moves_by_side(pairings, poly)
     classes = []
     seen = set()
-    for start in poly.vertices:  # descending, so reps are lex-greatest
+    for start in range(len(poly.vertices)):  # descending, so reps are lex-greatest
         if start in seen:
             continue
-        tree_words = {start: ()}
+        tree = {start: ()}
         tree_edges = set()
-        order = [start]
         queue = [start]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:
             for letter, sign, w in _vertex_moves(u, moves, poly):
-                if w not in tree_words:
-                    tree_words[w] = free_reduce(tree_words[u] + ((letter, -sign),))
+                if w not in tree:
+                    tree[w] = free_reduce(tree[u] + ((letter, -sign),))
                     tree_edges.add((u, letter, sign))
                     tree_edges.add((w, letter, -sign))
-                    order.append(w)
                     queue.append(w)
-        seen.update(order)
+        seen.update(tree)
         classes.append(
             CuspClass(
-                vertices=tuple(sorted(order, reverse=True)),
-                representative=start,
-                tree_words=tree_words,
+                vertices=tuple(poly.vertices[i] for i in sorted(tree)),
+                representative=poly.vertices[start],
+                tree_words={poly.vertices[i]: w for i, w in tree.items()},
+                tree=tree,
                 tree_edges=frozenset(tree_edges),
             )
         )
-    classes.sort(key=lambda c: c.representative, reverse=True)
     for c in classes:
-        for v, w in c.tree_words.items():
-            image = poly.vertex_image(word_isometry(w, pairings).lorentz(), v)
-            if image != c.representative:
+        rep = min(c.tree)
+        for i, w in c.tree.items():
+            if poly.vertex_index_image(word_isometry(w, pairings).matrix, i) != rep:
                 raise GeometryError("tree word fails to reach the representative")
     return classes
 
@@ -137,20 +139,19 @@ def stabilizer_generators(cusp: CuspClass, pairings) -> CuspStabilizer:
     """
     poly = build_polytope()
     moves = moves_by_side(pairings, poly)
+    tree = cusp.tree
+    rep = min(tree)  # the representative's index
     generators = []
     seen_words = set()
-    for v in sorted(cusp.vertices, reverse=True):
+    for v in sorted(tree):
         for letter, sign, w in _vertex_moves(v, moves, poly):
             if (v, letter, sign) in cusp.tree_edges:
                 continue
-            loop = word_mul(
-                cusp.tree_words[w], ((letter, sign),), word_inverse(cusp.tree_words[v])
-            )
+            loop = word_mul(tree[w], ((letter, sign),), word_inverse(tree[v]))
             if not loop or loop in seen_words or word_inverse(loop) in seen_words:
                 continue
             moebius = word_isometry(loop, pairings)
-            rep = cusp.representative
-            if poly.vertex_image(moebius.lorentz(), rep) != rep:
+            if poly.vertex_index_image(moebius.matrix, rep) != rep:
                 raise GeometryError(
                     f"stabilizer loop {word_str(loop)} moves the representative"
                 )
@@ -158,9 +159,8 @@ def stabilizer_generators(cusp: CuspClass, pairings) -> CuspStabilizer:
             generators.append((loop, moebius))
     if not generators:
         raise GeometryError("every cusp class must have stabilizer generators")
-    rep = cusp.representative
     affines = tuple(
-        affine_parts(m, rep) for _, moebius in generators
+        affine_parts(m, cusp.representative) for _, moebius in generators
         for m in (moebius, moebius.inverse())
     )
     return CuspStabilizer(cusp=cusp, generators=tuple(generators), affines=affines)
@@ -292,10 +292,11 @@ def _validated_filling(cls: CuspClass, word, pairings, what) -> ValidatedFilling
     poly = build_polytope()
     moebius = word_isometry(word, pairings)
     fixed = next(
-        (v for v in cls.vertices if poly.vertex_image(moebius.lorentz(), v) == v), None
+        (i for i in sorted(cls.tree) if poly.vertex_index_image(moebius.matrix, i) == i), None
     )
     if fixed is None:
         raise PoincareViolation(f"{what} {word_str(word)} fixes no vertex of its cusp")
+    fixed = poly.vertices[fixed]
     kind = classify_parabolic(moebius, fixed)
     if kind != TRANSLATION:
         raise PoincareViolation(f"{what} {word_str(word)} is {kind}, not a translation")

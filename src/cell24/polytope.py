@@ -109,7 +109,7 @@ class Polytope24:
 
         # Side sets by vertex index: the loops below run over indices, so
         # no vertex (a tuple of Fractions) is hashed more than once.
-        sides_at = [
+        sides_at = self.sides_at = [
             frozenset(lab for lab, n in self.side_vectors.items() if lorentz_dot(u, n) == 0)
             for u in self.vertex_vectors
         ]
@@ -177,9 +177,12 @@ class Polytope24:
     def vertex_image(self, matrix, v):
         """The ideal vertex an integer Lorentz matrix carries vertex v to,
         or None."""
-        w = lorentz_apply(matrix, self.vertex_vectors[self.vertex_index[v]])
-        i = self.vertex_of_vector(w)
+        i = self.vertex_index_image(matrix, self.vertex_index[v])
         return None if i is None else self.vertices[i]
+
+    def vertex_index_image(self, matrix, i):
+        """Index of the image of the ideal vertex of index i, or None."""
+        return self.vertex_of_vector(lorentz_apply(matrix, self.vertex_vectors[i]))
 
     def action(self, label, matrix):
         """Exact action of an integer Lorentz matrix on the faces at side
@@ -204,8 +207,7 @@ class Polytope24:
     def _action(self, label, matrix):
         sides = {nb: self.side_image(matrix, nb) for nb in self.neighbours[label]}
         vertices = {
-            i: self.vertex_of_vector(lorentz_apply(matrix, self.vertex_vectors[i]))
-            for i in self.side_vertex_indices[label]
+            i: self.vertex_index_image(matrix, i) for i in self.side_vertex_indices[label]
         }
         faces = {}
         for i, f in enumerate(self.edge_faces):

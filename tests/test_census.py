@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import reduce
 
 import pytest
 
@@ -7,7 +8,8 @@ import reference_tables as rt
 from cell24 import census, cover, groups
 from cell24.census import InvalidCode, ParseError, PoincareViolation
 from cell24.groups import word_str
-from cell24.polytope import build_polytope
+from cell24.moebius import MoebiusWord
+from cell24.polytope import Polytope24, build_polytope
 
 
 def test_parse_code_reference():
@@ -165,6 +167,57 @@ def test_corrupted_pairing_detected(pairings):
         census.ridge_cycles(broken)
     with pytest.raises(PoincareViolation):
         census.edge_classes(broken)
+
+
+def test_corrupted_pairing_gets_its_own_relator_products(pairings, cycles):
+    # Relator products are memoised across codes; the memo must be keyed by
+    # the exact letter words passed in, never by letter names or digits.
+    def fold(relator, pairs):
+        by_name = {p.letter: p.word for p in pairs}
+        return reduce(
+            lambda acc, letter: acc * letter,
+            [by_name[sym] if sign == 1 else by_name[sym].inverse() for sym, sign in relator],
+            MoebiusWord(),
+        )
+
+    good = [census.cycle_moebius_word(c, pairings) for c in cycles]
+    assert good == [fold(c.relator, pairings) for c in cycles]
+    broken = list(pairings)
+    broken[0] = broken[0]._replace(word=broken[2].word)
+    products = [census.cycle_moebius_word(c, broken) for c in cycles]
+    assert products == [fold(c.relator, broken) for c in cycles]
+    assert any(p != g for p, g in zip(products, good))
+
+
+def test_relator_memo_stores_isometries_not_verdicts(pairings, cycles, monkeypatch):
+    # A certificate that calls every word the identity must not poison the
+    # memo: a second lookup returns the same product, not a cached verdict.
+    broken = list(pairings)
+    broken[0] = broken[0]._replace(word=pairings[2].word * pairings[4].word)
+    monkeypatch.setattr(MoebiusWord, "is_identity", lambda word: True)
+    first = [census.cycle_moebius_word(c, broken) for c in cycles]
+    again = [census.cycle_moebius_word(c, broken) for c in cycles]
+    monkeypatch.undo()
+    assert first == again
+    assert any(w != MoebiusWord() for w in again)
+
+
+def test_family_pairings_shared_across_codes(sample_codes):
+    # A family's pairings depend only on its digit: codes sharing the digit
+    # get the very same objects, equal to a construction on a new polytope.
+    poly, fresh = build_polytope(), Polytope24()
+    first = {}
+    for code in sample_codes:
+        kvecs = census.parse_code(code)
+        pairings = census.build_pairings(kvecs, poly)
+        assert pairings == census.build_pairings(kvecs, fresh)
+        for index, digit in enumerate(code):
+            family = pairings[2 * index:2 * index + 2]
+            assert [p.letter for p in family] == list(census.FAMILIES[index][0])
+            assert all(p.kpart == kvecs[index] for p in family)
+            shared = first.setdefault((index, digit), family)
+            assert all(p is q for p, q in zip(family, shared))
+    assert len(first) < len(sample_codes)
 
 
 def test_validate_means_manifold():
