@@ -103,13 +103,6 @@ class SidePairing(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def pairing_word(target_vector, kpart) -> MoebiusWord:
-    # Reflection in the image side composed with the diagonal map, diagonal
-    # applied first.
-    return MoebiusWord(lorentz_mul(reflection(target_vector), diagonal(kpart)))
-
-
-@lru_cache(maxsize=None)
 def letter_inverse(word: MoebiusWord) -> MoebiusWord:
     """The inverse of a pairing letter's isometry, computed once per matrix."""
     return word.inverse()
@@ -151,7 +144,9 @@ def _family_pairings(poly: Polytope24, index: int, k: tuple):
     for letter, src in zip(letters, sources):
         tgt_center = tuple(sign * c for sign, c in zip(k, src.center))
         tgt = next(s for s in family_sides if s.center == tgt_center)
-        word = pairing_word(poly.side_vectors[tgt.label], k)
+        # Reflection in the image side composed with the diagonal map,
+        # diagonal applied first.
+        word = MoebiusWord(lorentz_mul(reflection(poly.side_vectors[tgt.label]), diagonal(k)))
         if poly.side_image(word.lorentz(), src.label) != tgt.label:
             raise InvalidCode(
                 f"pairing {letter} does not carry its source sphere to "

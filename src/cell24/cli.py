@@ -9,9 +9,10 @@ Under kirby --format svg the text is one SVG panel; kirby --panel all
 writes all four panels plus the JSON document into its --output directory.
 
 Exit codes: 0 success, 1 domain error (invalid code, failed condition,
-failed trace step), 2 usage error (bad flags, an unknown trace script,
---panel all without an output directory, malformed code text, a gluing
-letter that is not orientation reversing).
+failed trace step), 2 usage error (bad flags, --max-cosets below 1, an
+unknown trace script, --panel all without an output directory, an --output
+that cannot be written, malformed code text, a gluing letter that is not
+orientation reversing).
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ def _presentation_doc(pres):
         "generators": list(pres.generators),
         "relators": [_word_json(r) for r in pres.relators],
     }
+
+
+def _write_file(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _cycle_listing(cycles, name):
@@ -153,10 +159,10 @@ def cmd_cusps(args):
                 f"    shortest translation: {word_str(choice.chosen)} "
                 f"(same-length alternates: {alts})"
             )
-        h1 = " + ".join([f"Z/{t}" for t in inv.h1_torsion] + ["Z"] * inv.h1_rank)
+        h1 = kirby.h1_text(inv.h1_torsion, inv.h1_rank)
         lines.append(
             f"    cross-section: orientable={inv.orientable} "
-            f"holonomy order {inv.holonomy_order} H1 = {h1 or '0'} "
+            f"holonomy order {inv.holonomy_order} H1 = {h1} "
             f"label {inv.label}"
         )
     for alt in alternates:
@@ -226,12 +232,8 @@ def cmd_kirby(args):
         if args.panel == "all":
             os.makedirs(args.output, exist_ok=True)
             for panel in kirby.PANELS:
-                path = os.path.join(args.output, f"{panel}.svg")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(kirby.export_svg(d, panel))
-            path = os.path.join(args.output, "diagram.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(kirby.json_text(d))
+                _write_file(os.path.join(args.output, f"{panel}.svg"), kirby.export_svg(d, panel))
+            _write_file(os.path.join(args.output, "diagram.json"), kirby.json_text(d))
             sys.stdout.write(
                 f"wrote {', '.join(p + '.svg' for p in kirby.PANELS)} and "
                 f"diagram.json to {args.output}\n"
@@ -281,6 +283,13 @@ def cmd_trace(args):
 # -- parser -------------------------------------------------------------------
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cell24",
@@ -308,7 +317,7 @@ def build_parser():
     p = add("invariants", cmd_invariants, help="invariant reports per stage")
     p.add_argument("--stage", choices=kirby.STAGES, default=None)
     p.add_argument("--alpha")
-    p.add_argument("--max-cosets", type=int, default=100_000)
+    p.add_argument("--max-cosets", type=positive_int, default=100_000)
     p = add("kirby", cmd_kirby, help="Kirby diagram data and figures")
     p.add_argument("--cover", action="store_true", help="diagram of the double cover")
     p.add_argument("--fill", action="store_true", help="include filling 2-handles")
@@ -329,23 +338,26 @@ def main(argv=None) -> int:
         parser.error("--panel all needs --output DIR")
     try:
         status, doc, text = args.handler(args)
+        if text is None:  # kirby --panel all wrote its report directory
+            return status
+        if args.format == "json":
+            text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True)
+        if not text.endswith("\n"):
+            text += "\n"
+        if args.output not in (None, "-"):
+            _write_file(args.output, text)
+            return status
     except (ParseError, cover_mod.GluingLetterError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
+        return 2
+    except OSError as exc:
+        # The engine opens no files: this is an --output that cannot be written.
+        sys.stderr.write(f"usage error: cannot write {exc.filename}: {exc.strerror}\n")
         return 2
     except (CensusError, KirbyError, groups.GroupError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if text is None:  # kirby --panel all wrote its report directory
-        return status
-    if args.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True)
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    sys.stdout.write(text)
     return status
 
 

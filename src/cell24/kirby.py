@@ -19,11 +19,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import census, cover as cover_mod, cusps, groups
-from .exact import QS2
-from .layout import LAYOUT, REFLECT_X_CENTER
+from .layout import LAYOUT, MIRROR_X, Z
 from .polytope import SIDE_INDEX, build_polytope
 
 PANELS = ("xy", "xz", "yz", "off")
+# The coordinate that vanishes on each plane panel.
+PANEL_AXIS = {"xy": 2, "xz": 1, "yz": 0}
 
 
 class KirbyError(Exception):
@@ -49,7 +50,7 @@ class TraceError(KirbyError):
 class OneHandle(NamedTuple):
     label: str               # pairing name
     sides: tuple             # display names of the two balls
-    positions: tuple         # two QS2 triples
+    positions: tuple         # two layout triples of (a, b) pairs
 
 
 class TwoHandle(NamedTuple):
@@ -92,20 +93,16 @@ class KirbyDiagram(NamedTuple):
 
 
 def _panel_of(word, handles_by_label) -> str:
-    # The doubled copy is laid out by reflecting across x = 2*c, so its
-    # "y-z plane" is the parallel plane at x = 4c; each plane panel accepts
+    # The doubled copy is laid out by reflecting across x = 3, so its
+    # "y-z plane" is the parallel plane at x = 6; each plane panel accepts
     # positions on either of its two copies.
-    mirror = REFLECT_X_CENTER * 2
     positions = []
     for sym, _sign in word:
         positions.extend(handles_by_label[sym].positions)
     if not positions:
         return "off"
-    for panel, axis in (("xy", 2), ("xz", 1), ("yz", 0)):
-        if all(
-            p[axis] == QS2(0) or (axis == 0 and p[axis] == mirror)
-            for p in positions
-        ):
+    for panel, axis in PANEL_AXIS.items():
+        if all(p[axis] == Z or (axis == 0 and p[axis] == MIRROR_X) for p in positions):
             return panel
     return "off"
 
@@ -355,6 +352,11 @@ def assemble_diagram(code: str, want_cover=False, fill=False, alpha=None):
     )
 
 
+def h1_text(torsion, rank) -> str:
+    """H1 as text: "Z/2 + Z/4 + Z + Z", or "0" for the trivial group."""
+    return " + ".join([f"Z/{t}" for t in torsion] + ["Z"] * rank) or "0"
+
+
 class InvariantReport(NamedTuple):
     stage: str
     euler_characteristic: int | None
@@ -366,9 +368,7 @@ class InvariantReport(NamedTuple):
 
     def render(self) -> str:
         chi = "n/a" if self.euler_characteristic is None else self.euler_characteristic
-        h1 = " + ".join(
-            [f"Z/{t}" for t in self.h1_torsion] + ["Z"] * self.h1_rank
-        ) or "0"
+        h1 = h1_text(self.h1_torsion, self.h1_rank)
         order = "inconclusive" if self.group_order is None else self.group_order
         return (
             f"stage {self.stage}: chi = {chi}, H1 = {h1}, "
@@ -470,12 +470,12 @@ def invariant_report(
 # ---------------------------------------------------------------------------
 
 
-def _qs2_json(x: QS2):
-    return [f"{x.a.numerator}/{x.a.denominator}", f"{x.b.numerator}/{x.b.denominator}"]
+def _coord_json(x):
+    return [f"{c.numerator}/{c.denominator}" for c in x]
 
 
-def _qs2_from_json(pair):
-    return QS2(Fraction(pair[0]), Fraction(pair[1]))
+def _coord_from_json(pair):
+    return tuple(Fraction(c) for c in pair)
 
 
 def export_json(d: KirbyDiagram) -> dict:
@@ -485,7 +485,7 @@ def export_json(d: KirbyDiagram) -> dict:
             {
                 "label": h.label,
                 "sides": list(h.sides),
-                "pos": [[_qs2_json(c) for c in p] for p in h.positions],
+                "pos": [[_coord_json(c) for c in p] for p in h.positions],
             }
             for h in d.one_handles
         ],
@@ -515,7 +515,7 @@ def import_json(doc: dict) -> KirbyDiagram:
                 label=h["label"],
                 sides=tuple(h["sides"]),
                 positions=tuple(
-                    tuple(_qs2_from_json(c) for c in p) for p in h["pos"]
+                    tuple(_coord_from_json(c) for c in p) for p in h["pos"]
                 ),
             )
             for h in doc["one_handles"]
@@ -560,7 +560,7 @@ PALETTE = (
 
 
 def _project(pos, panel):
-    x, y, z = (float(c) for c in pos)
+    x, y, z = (float(a) + float(b) * 2 ** 0.5 for a, b in pos)
     if panel == "xy":
         u, v = x, y
     elif panel == "xz":
@@ -585,11 +585,9 @@ def export_svg(d: KirbyDiagram, panel: str) -> str:
         for sym, _s in h.word:
             shown.add(sym)
     circles = []
-    axis = {"xy": 2, "xz": 1, "yz": 0}.get(panel)
+    axis = PANEL_AXIS.get(panel)
     for oh in d.one_handles:
-        in_plane = axis is not None and all(
-            p[axis] == QS2(0) for p in oh.positions
-        )
+        in_plane = axis is not None and all(p[axis] == Z for p in oh.positions)
         if oh.label in shown or in_plane:
             circles.append(oh)
 
@@ -615,8 +613,12 @@ def export_svg(d: KirbyDiagram, panel: str) -> str:
         f'<title>{d.source} diagram, {panel} panel</title>',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for h in handles:
-        color = "#000000" if h.color < 0 else PALETTE[h.color % len(PALETTE)][1]
+    # (legend name, stroke) per handle; killing and filling handles are dashed black.
+    colors = [
+        ("dashed black", "#000000") if h.color < 0 else PALETTE[h.color % len(PALETTE)]
+        for h in handles
+    ]
+    for h, (_name, color) in zip(handles, colors):
         dash = ' stroke-dasharray="6 4"' if h.origin != "ridge" else ""
         chain = []
         for sym, s in h.word:
@@ -651,9 +653,7 @@ def export_svg(d: KirbyDiagram, panel: str) -> str:
         f'<text x="{margin:.2f}" y="{ly:.2f}" font-size="12" '
         f'font-weight="bold">2-handles ({panel})</text>'
     )
-    for i, h in enumerate(handles, 1):
-        color = "#000000" if h.color < 0 else PALETTE[h.color % len(PALETTE)][1]
-        cname = "dashed black" if h.color < 0 else PALETTE[h.color % len(PALETTE)][0]
+    for i, (h, (cname, color)) in enumerate(zip(handles, colors), 1):
         y = ly + 18 * i
         out.append(
             f'<rect x="{margin:.2f}" y="{y - 9:.2f}" width="12" height="12" '

@@ -157,6 +157,36 @@ def test_report_directory_needs_output(capsys):
     assert "--panel all needs --output DIR" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "validate", "146928", "-o", str(missing))
+    assert code == 2 and out == ""
+    assert err == f"usage error: cannot write {missing}: No such file or directory\n"
+
+
+def test_report_directory_over_a_file_is_a_usage_error(capsys, tmp_path):
+    existing = tmp_path / "report"
+    existing.write_text("kept\n")
+    code, _, err = run(
+        capsys, "kirby", "146928", "--cover", "--fill", "--format", "svg",
+        "--panel", "all", "-o", str(existing),
+    )
+    assert code == 2
+    assert err.startswith(f"usage error: cannot write {existing}: ")
+    assert existing.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "146928", "--max-cosets", "0"],
+    ["invariants", "146928", "--stage", "base", "--max-cosets", "-5"],
+])
+def test_max_cosets_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --max-cosets: must be at least 1" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["cycles"])  # missing code

@@ -5,7 +5,6 @@ import pytest
 import moebius_oracle as oracle
 import reference_tables as rt
 from cell24 import census, cover, groups
-from cell24.exact import QS2
 from cell24.groups import word_from_str
 
 
@@ -150,22 +149,11 @@ def test_lift_filling_words(double_cover):
 
 
 def test_cover_layout(double_cover):
+    # Each coordinate a + b sqrt(2) is the pair (a, b).
     half = Fraction(1, 2)
-    assert cover.cover_layout((0, "A"), double_cover) == (
-        QS2(0, half),
-        QS2(0, half),
-        QS2(0),
-    )
-    assert cover.cover_layout((1, "A"), double_cover) == (
-        QS2(6, half),
-        QS2(0, half),
-        QS2(0),
-    )
-    assert cover.cover_layout((0, "G"), double_cover) == (
-        QS2(1, 1),
-        QS2(0),
-        QS2(0),
-    )
+    assert cover.cover_layout((0, "A"), double_cover) == ((0, half), (0, half), (0, 0))
+    assert cover.cover_layout((1, "A"), double_cover) == ((6, half), (0, half), (0, 0))
+    assert cover.cover_layout((0, "G"), double_cover) == ((1, 1), (0, 0), (0, 0))
 
 
 def test_cover_layout_injective_and_mirrored(double_cover):
@@ -176,17 +164,25 @@ def test_cover_layout_injective_and_mirrored(double_cover):
         seen[side] = pos
     # sheet-0 positions lie strictly left of the mirror plane x = 3,
     # sheet-1 positions strictly right; mirroring maps one onto the other.
-    for side, pos in seen.items():
-        sheet = side[0]
-        dx = (pos[0] - QS2(3)).sign()
-        assert dx == (-1 if sheet == 0 else 1)
+    # x = a + b sqrt(2) < 3 iff d = 3 - a exceeds b sqrt(2); when d and b
+    # have the same sign this is decided by comparing d^2 with 2 b^2.
+    def left_of_mirror(a, b):
+        d = 3 - a
+        if d >= 0 and b <= 0:
+            return (d, b) != (0, 0)
+        if d <= 0 and b >= 0:
+            return False
+        return (d * d > 2 * b * b) == (d > 0)
+
+    for (sheet, _label), pos in seen.items():
+        assert left_of_mirror(*pos[0]) == (sheet == 0)
 
 
 def test_base_layout_table_matches_published():
     from cell24.layout import LAYOUT
 
     for label, (_center, coords) in rt.SIDE_TABLE.items():
-        expected = tuple(QS2(Fraction(a), Fraction(b)) for a, b in coords)
+        expected = tuple((Fraction(a), Fraction(b)) for a, b in coords)
         assert LAYOUT[label] == expected
 
 
