@@ -9,8 +9,8 @@ of the reference code 146928 to reproduce the published pairing display; a
 regression test enforces it.
 
 Ridge cycles (2-handles) and edge-face orbits (3-handles) come from one
-engine over a sheeted domain (``Domain``): the code's polytope is its
-one-sheet case, and cover builds the two-sheet orientable double cover.
+engine over a sheeted domain (``Domain``): one-sheet domains fill a code's
+family pair and triple tables, and cover builds the two-sheet double cover.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, reduce
 from math import prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import groups
@@ -189,8 +190,7 @@ class Move(NamedTuple):
     faces: dict
 
 
-def moves_by_side(pairings, polytope: Polytope24 | None = None):
-    poly = polytope or build_polytope()
+def _moves(pairings, poly):
     moves = {}
     for p in pairings:
         for label, sign, word, image in (
@@ -199,6 +199,11 @@ def moves_by_side(pairings, polytope: Polytope24 | None = None):
         ):
             tables = poly.action(label, word.lorentz())
             moves[label] = Move(p.letter, sign, word, image, *tables)
+    return moves
+
+
+def moves_by_side(pairings, polytope: Polytope24 | None = None):
+    moves = _moves(pairings, polytope or build_polytope())
     if len(moves) != 24:
         raise InvalidCode("pairings do not cover the 24 sides as source/target")
     return moves
@@ -327,8 +332,8 @@ def trace_cycle_from(start, domain: Domain, polytope: Polytope24 | None = None):
     return tuple(nodes), tuple(arrows)
 
 
-def _canonical_traces(domain: Domain, poly):
-    """Each ridge cycle traced once, from its canonical start, in order.
+def _canonical_traces(domain: Domain, poly, starts):
+    """(position, trace) of each ridge cycle, traced from its canonical start.
 
     Canonical start: the least state among the cycle's states and its
     reverse's.  The reverse traversal visits exactly the swapped states
@@ -338,13 +343,13 @@ def _canonical_traces(domain: Domain, poly):
     """
     seen = set()
     traces = []
-    for start in _ridge_states(poly, domain.sheets):
+    for pos, start in starts:
         if start in seen:
             continue
         trace = _trace(start, domain.steps, poly)
         seen.update(trace[0])
         seen.update((p, a) for a, p in trace[0])
-        traces.append(trace)
+        traces.append((pos, trace))
     return traces
 
 
@@ -359,26 +364,85 @@ def domain_cycles(domain: Domain, polytope: Polytope24 | None = None):
     poly = polytope or build_polytope()
     return [
         _ridge_cycle(states, nodes, arrows, domain.wall)
-        for states, nodes, arrows in _canonical_traces(domain, poly)
+        for _pos, (states, nodes, arrows) in _canonical_traces(
+            domain, poly, enumerate(_ridge_states(poly, domain.sheets)))
     ]
 
 
-def _labels(states):
-    return [(a[1], p[1]) for a, p in states]
+@lru_cache(maxsize=None)
+def _local_tables(poly: Polytope24):
+    """(family of each side label, family records, tables by kind, interned
+    values), empty until codes fill them.  Sign diagonals keep each family's
+    support, so a ridge cycle depends only on its two families' pairings and
+    an edge-face orbit on its three's.  A table is (families, key of their
+    ids, layout of (position, state or face) items, entries)."""
+    family = {s.label: [f for _letters, f in FAMILIES].index(
+        tuple(j for j in range(4) if s.center[j])) for s in poly.sides.values()}
+
+    def tables(items):
+        layouts = {}
+        for families, item in items:
+            layouts.setdefault(tuple(sorted(set(families))), []).append(item)
+        return [(fs, itemgetter(*fs), layout, {}) for fs, layout in layouts.items()]
+
+    faces, states = poly.edge_faces, enumerate(_ridge_states(poly, 1))
+    return family, {}, {
+        "pairs": tables(((family[a[1]], family[p[1]]), (pos, (a, p))) for pos, (a, p) in states),
+        "triples": tables(([family[label] for label in faces[i].sides], (pos, i))
+                          for pos, i in enumerate(_face_order(poly))),
+    }, {}
 
 
-def _label_cycles(domain: Domain, poly):
-    return [
-        _ridge_cycle(_labels(states), _labels(nodes), arrows)
-        for states, nodes, arrows in _canonical_traces(domain, poly)
-    ]
+def _assemble(pairings, poly, kind, fill, scan):
+    """The pairings' entries in the ``kind`` tables, filled as needed, merged."""
+    family, records, tables, values = _local_tables(poly)
+    groups = [[] for _ in FAMILIES]
+    for p in pairings:
+        groups[family[p.source.label]].append(p)
+    try:
+        found = []
+        for index, group in enumerate(map(tuple, groups)):
+            record = records.get(group)
+            if record is None:
+                pairs = [(p.letter, (0, p.source.label), (0, p.target.label)) for p in group]
+                steps = sheeted_domain(pairs, _moves(group, poly)).steps
+                own = sorted(family[label] for _sheet, label in steps) == [index] * 4
+                if not own or any(b and family[b] != family[a]
+                                  for *_, mv in steps.values() for a, b in mv.sides.items()):
+                    moves_by_side(pairings, poly)  # InvalidCode unless the 24 sides are paired
+                    raise PoincareViolation("a pairing does not keep the side families")
+                record = records[group] = (len(records), steps)
+            found.append(record)
+        ids = [record[0] for record in found]
+        items = []
+        for families, key, layout, entries in tables[kind]:
+            entry = entries.get(key(ids))
+            if entry is None:
+                steps = {side: step for f in families for side, step in found[f][1].items()}
+                entry = fill(Domain((), steps), layout, poly, values.setdefault)
+                entry = entries[key(ids)] = values.setdefault(entry, entry)
+            items += entry
+    except PoincareViolation:
+        # Raise the whole-domain scan's error if it has one (for cycles, the least start's).
+        scan(base_domain(pairings, poly), poly)
+        raise
+    return [value for _pos, value in sorted(items)]  # positions are distinct
+
+
+def _cycle_entry(domain, starts, poly, intern):
+    entry = []
+    for pos, (states, nodes, arrows) in _canonical_traces(domain, poly, starts):
+        states, nodes = ([(a[1], p[1]) for a, p in pairs] for pairs in (states, nodes))
+        parts = (map(frozenset, states), nodes, arrows)
+        cycle = _ridge_cycle(*([intern(x, x) for x in xs] for xs in parts))
+        entry.append((pos, intern((cycle.nodes, cycle.arrows), cycle)))
+    return tuple(entry)
 
 
 def ridge_cycles(pairings, polytope: Polytope24 | None = None):
     """The code's ridge cycles, over side labels; sorted by start state,
     which reproduces the published row order for 146928."""
-    poly = polytope or build_polytope()
-    return _label_cycles(base_domain(pairings, poly), poly)
+    return _assemble(pairings, polytope or build_polytope(), "pairs", _cycle_entry, domain_cycles)
 
 
 def _letter_word(sym, pairings) -> MoebiusWord:
@@ -421,9 +485,10 @@ def cycle_moebius_word(cycle: RidgeCycle, pairings) -> MoebiusWord:
 
 @lru_cache(maxsize=None)
 def _face_order(poly: Polytope24):
-    """Edge-face indices by ascending sorted vertex pair."""
+    """Edge-face indices by ascending sorted vertex pair: vertex indices
+    descend by value, so by descending index pair, comparing no Fraction."""
     faces = poly.edge_faces
-    return tuple(sorted(range(len(faces)), key=lambda i: sorted(faces[i].vertices)))
+    return tuple(sorted(range(len(faces)), key=lambda i: (-faces[i].ends[1], -faces[i].ends[0])))
 
 
 def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
@@ -434,9 +499,15 @@ def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
     their least member.
     """
     poly = polytope or build_polytope()
-    faces = poly.edge_faces
-    n = len(faces)
-    parent = list(range(n * domain.sheets))
+    n, order = len(poly.edge_faces), _face_order(poly)
+    return _orbits(domain, poly, [sheet * n + i for sheet in range(domain.sheets) for i in order])
+
+
+def _orbits(domain: Domain, poly, faces):
+    """Orbits of the formal faces sheet * 96 + index listed, in that order."""
+    edge = poly.edge_faces
+    n = len(edge)
+    parent = {x: x for x in faces}
 
     def find(x):
         while parent[x] != x:
@@ -450,30 +521,35 @@ def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
         if sign == -1:
             continue
         for i, j in mv.faces.items():
+            x = sheet * n + i
+            if x not in parent:
+                continue
             if j is None:
-                raise PoincareViolation(
-                    f"pairing {name} maps an edge face off the face lattice"
-                )
-            rx, ry = find(sheet * n + i), find(image[0] * n + j)
+                raise PoincareViolation(f"pairing {name} maps an edge face off the face lattice")
+            y = image[0] * n + j
+            if y not in parent:
+                raise PoincareViolation(f"pairing {name} maps an edge face out of its families")
+            rx, ry = find(x), find(y)
             if rx != ry:
                 parent[max(rx, ry)] = min(rx, ry)
 
     orbits = {}
-    for sheet in range(domain.sheets):
-        for i in _face_order(poly):
-            orbits.setdefault(find(sheet * n + i), []).append((sheet, faces[i].vertices))
+    for x in faces:
+        orbits.setdefault(find(x), []).append((x // n, edge[x % n].vertices))
     return [tuple(orbit) for orbit in orbits.values()]
 
 
-def _label_orbits(domain: Domain, poly):
-    return [tuple(face for _sheet, face in orbit) for orbit in domain_orbits(domain, poly)]
+def _orbit_entry(domain, layout, poly, intern):
+    rank = {poly.edge_faces[i].vertices: pos for pos, i in layout}
+    orbits = _orbits(domain, poly, [i for _pos, i in layout])
+    return tuple((rank[o[0]], intern(o, o)) for o in (tuple(f for _s, f in o) for o in orbits))
 
 
 def edge_classes(pairings, polytope: Polytope24 | None = None):
     """The code's edge-face orbits, as tuples of EdgeFace keys (vertex
     pairs), in the order of ``domain_orbits``."""
     poly = polytope or build_polytope()
-    return _label_orbits(base_domain(pairings, poly), poly)
+    return _assemble(pairings, poly, "triples", _orbit_entry, domain_orbits)
 
 
 def presentation(pairings, cycles) -> "groups.Presentation":
@@ -502,19 +578,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def check_gluing(pairings, report: ValidationReport, domain: Domain | None = None,
-                 polytope: Polytope24 | None = None):
+def check_gluing(pairings, report: ValidationReport, polytope: Polytope24 | None = None):
     """Add the manifold gluing checks of the pairings to ``report``: ridge
     cycles of length 4 partitioning the ridges, identity relators killed by
-    the orientation character, edge-face orbits of 8.  ``domain`` is the
-    pairings' base domain, built here when not given.  Returns (whether all
+    the orientation character, edge-face orbits of 8.  Returns (whether all
     of them pass, the ridge cycles, the edge-face orbits), over side
     labels."""
     poly = polytope or build_polytope()
     eps = orientation_character(pairings)
-    if domain is None:
-        domain = base_domain(pairings, poly)
-    cycles = _label_cycles(domain, poly)
+    cycles = ridge_cycles(pairings, poly)
     lengths = report.cycle_lengths = dict(Counter(len(c) for c in cycles))
     covered = frozenset().union(*(c.ridges for c in cycles))
     # A right-angled ridge closes up after exactly four dihedral angles.
@@ -533,7 +605,7 @@ def check_gluing(pairings, report: ValidationReport, domain: Domain | None = Non
     eps_ok = all(eps_of_word(c.relator, eps) == 1 for c in cycles)
     report.add("orientation character kills every relator", eps_ok)
 
-    orbits = _label_orbits(domain, poly)
+    orbits = edge_classes(pairings, poly)
     sizes = sorted(len(o) for o in orbits)
     # The link of a right-angled edge is the 8 octants of a 3-ball.
     orbit_ok = sum(sizes) == len(poly.edge_faces) and set(sizes) == {8}
@@ -545,13 +617,12 @@ def check_gluing(pairings, report: ValidationReport, domain: Domain | None = Non
     return cycles_ok and identity_ok and eps_ok and orbit_ok, cycles, orbits
 
 
-def require_manifold(pairings, domain: Domain | None = None,
-                     polytope: Polytope24 | None = None):
+def require_manifold(pairings, polytope: Polytope24 | None = None):
     """Raise PoincareViolation naming the first gluing check the pairings
     fail (the checks of ``validate``); otherwise return the checked ridge
     cycles and edge-face orbits of their base domain."""
     report = ValidationReport(code="")
-    ok, cycles, orbits = check_gluing(pairings, report, domain, polytope)
+    ok, cycles, orbits = check_gluing(pairings, report, polytope)
     if not ok:
         name, _passed, detail = next(c for c in report.checks if not c[1])
         raise PoincareViolation(

@@ -337,10 +337,10 @@ def assemble_diagram(code: str, want_cover=False, fill=False, alpha=None):
     pairings = census.build_pairings(census.parse_code(code))
     eps = census.orientation_character(pairings)
     dc = cover_mod.build_double_cover(pairings, eps, alpha) if want_cover else None
-    domain = census.base_domain(pairings)
-    census.require_manifold(pairings, domain)
+    census.require_manifold(pairings)
     if not want_cover:
         fills = filling_pairs(pairings) if fill else ()
+        domain = census.base_domain(pairings)
         return build_diagram("base", domain, lambda side: LAYOUT[side[1]], fills)
     fills = ()
     if fill:
@@ -406,8 +406,7 @@ def invariant_report(
     # the gluing checks.
     covered = stage not in ("base", "filled")
     dc = cover_mod.build_double_cover(pairings, eps, alpha) if covered else None
-    domain = census.base_domain(pairings)
-    cycles, orbits = census.require_manifold(pairings, domain)
+    cycles, orbits = census.require_manifold(pairings)
     base = census.presentation(pairings, cycles)
     orientable = all(e == 1 for e in eps.values())
 
@@ -428,7 +427,7 @@ def invariant_report(
         return [w for _, w in filling_pairs(pairings)]
 
     if stage == "base":
-        return report(base, euler(domain, cycles, orbits),
+        return report(base, euler(census.base_domain(pairings), cycles, orbits),
                       UNFILLED_MAX_COSETS, orientable,
                       "cusped census manifold; chi = 1 is the census datum")
     if stage == "filled":
