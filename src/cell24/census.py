@@ -9,8 +9,9 @@ of the reference code 146928 to reproduce the published pairing display; a
 regression test enforces it.
 
 Ridge cycles (2-handles) and edge-face orbits (3-handles) come from one
-engine over a sheeted domain (``Domain``): one-sheet domains fill a code's
-family pair and triple tables, and cover builds the two-sheet double cover.
+engine over the step table of a sheeted domain (``Domain``): one-sheet steps
+fill a code's family pair and triple tables, and cover builds the two-sheet
+double cover.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _family_pairings(poly: Polytope24, index: int, k: tuple):
         # Reflection in the image side composed with the diagonal map,
         # diagonal applied first.
         word = MoebiusWord(lorentz_mul(reflection(poly.side_vectors[tgt.label]), diagonal(k)))
-        if poly.side_image(word.lorentz(), src.label) != tgt.label:
+        if poly.side_image(word.matrix, src.label) != tgt.label:
             raise InvalidCode(
                 f"pairing {letter} does not carry its source sphere to "
                 "its target sphere"
@@ -174,36 +175,29 @@ class Move(NamedTuple):
 
     ``sides``, ``vertices`` and ``faces`` are the move's exact action on
     the faces at its side, read off its own word's Lorentz matrix
-    (``Polytope24.action``, shared by every move with that side and
-    matrix): side label -> image side label for the sides meeting it in a
-    ridge, vertex index -> image vertex index for the ideal vertices on it,
-    and edge-face index -> image edge-face index for the edge faces on it,
-    with None for an image outside the side, vertex or edge-face lattice.
+    (``Polytope24.action``) once, when its family record is made (see
+    ``_family_records``): side label -> image side label for the sides
+    meeting it in a ridge, vertex index -> image vertex index for the ideal
+    vertices on it, and edge-face index -> image edge-face index for the
+    edge faces on it, with None for an image outside the side, vertex or
+    edge-face lattice.
     """
 
     letter: str
     sign: int
-    word: MoebiusWord
-    image: str  # label of the image side
     sides: dict
     vertices: dict
     faces: dict
 
 
-def _moves(pairings, poly):
-    moves = {}
-    for p in pairings:
-        for label, sign, word, image in (
-            (p.source.label, 1, p.word, p.target.label),
-            (p.target.label, -1, letter_inverse(p.word), p.source.label),
-        ):
-            tables = poly.action(label, word.lorentz())
-            moves[label] = Move(p.letter, sign, word, image, *tables)
-    return moves
-
-
 def moves_by_side(pairings, polytope: Polytope24 | None = None):
-    moves = _moves(pairings, polytope or build_polytope())
+    """The move leaving each side label, merged from the pairings' family
+    records."""
+    moves = {
+        label: step[3]
+        for _id, steps in _family_records(pairings, polytope or build_polytope())
+        for (_sheet, label), step in steps.items()
+    }
     if len(moves) != 24:
         raise InvalidCode("pairings do not cover the 24 sides as source/target")
     return moves
@@ -332,7 +326,7 @@ def trace_cycle_from(start, domain: Domain, polytope: Polytope24 | None = None):
     return tuple(nodes), tuple(arrows)
 
 
-def _canonical_traces(domain: Domain, poly, starts):
+def _canonical_traces(steps, poly, starts):
     """(position, trace) of each ridge cycle, traced from its canonical start.
 
     Canonical start: the least state among the cycle's states and its
@@ -346,7 +340,7 @@ def _canonical_traces(domain: Domain, poly, starts):
     for pos, start in starts:
         if start in seen:
             continue
-        trace = _trace(start, domain.steps, poly)
+        trace = _trace(start, steps, poly)
         seen.update(trace[0])
         seen.update((p, a) for a, p in trace[0])
         traces.append((pos, trace))
@@ -365,7 +359,7 @@ def domain_cycles(domain: Domain, polytope: Polytope24 | None = None):
     return [
         _ridge_cycle(states, nodes, arrows, domain.wall)
         for _pos, (states, nodes, arrows) in _canonical_traces(
-            domain, poly, enumerate(_ridge_states(poly, domain.sheets)))
+            domain.steps, poly, enumerate(_ridge_states(poly, domain.sheets)))
     ]
 
 
@@ -393,33 +387,56 @@ def _local_tables(poly: Polytope24):
     }, {}
 
 
-def _assemble(pairings, poly, kind, fill, scan):
-    """The pairings' entries in the ``kind`` tables, filled as needed, merged."""
-    family, records, tables, values = _local_tables(poly)
+def _family_records(pairings, poly):
+    """The records of the pairings' six families, made as needed: the only
+    cache of pairing moves.
+
+    A family's record is keyed by its exact tuple of pairings (those with a
+    source side in the family, in list order), never by digits or letters.
+    It holds (id, steps): the one-sheet steps of those pairings, whose moves
+    are read off each word's matrix when the record is made, and a small id
+    keying table entries, or None when the pairings do not keep the family
+    (their sides are not its four sides, or a move sends a side across
+    families).
+    """
+    family, records, _tables, _values = _local_tables(poly)
     groups = [[] for _ in FAMILIES]
     for p in pairings:
         groups[family[p.source.label]].append(p)
+    found = []
+    for index, group in enumerate(map(tuple, groups)):
+        record = records.get(group)
+        if record is None:
+            steps = {}
+            for p in group:
+                src, tgt = p.source.label, p.target.label
+                for sign, a, b, word in ((1, src, tgt, p.word),
+                                         (-1, tgt, src, letter_inverse(p.word))):
+                    mv = Move(p.letter, sign, *poly.action(a, word.matrix))
+                    steps[(0, a)] = (p.letter, sign, (0, b), mv)
+            own = sorted(family[label] for _sheet, label in steps) == [index] * 4
+            own = own and not any(b and family[b] != family[a]
+                                  for *_, mv in steps.values() for a, b in mv.sides.items())
+            record = records[group] = (len(records) if own else None, steps)
+        found.append(record)
+    return found
+
+
+def _assemble(pairings, poly, kind, fill, scan):
+    """The pairings' entries in the ``kind`` tables, filled as needed, merged."""
+    _family, _records, tables, values = _local_tables(poly)
     try:
-        found = []
-        for index, group in enumerate(map(tuple, groups)):
-            record = records.get(group)
-            if record is None:
-                pairs = [(p.letter, (0, p.source.label), (0, p.target.label)) for p in group]
-                steps = sheeted_domain(pairs, _moves(group, poly)).steps
-                own = sorted(family[label] for _sheet, label in steps) == [index] * 4
-                if not own or any(b and family[b] != family[a]
-                                  for *_, mv in steps.values() for a, b in mv.sides.items()):
-                    moves_by_side(pairings, poly)  # InvalidCode unless the 24 sides are paired
-                    raise PoincareViolation("a pairing does not keep the side families")
-                record = records[group] = (len(records), steps)
-            found.append(record)
+        found = _family_records(pairings, poly)
         ids = [record[0] for record in found]
+        if None in ids:
+            moves_by_side(pairings, poly)  # InvalidCode unless the 24 sides are paired
+            raise PoincareViolation("a pairing does not keep the side families")
         items = []
         for families, key, layout, entries in tables[kind]:
             entry = entries.get(key(ids))
             if entry is None:
                 steps = {side: step for f in families for side, step in found[f][1].items()}
-                entry = fill(Domain((), steps), layout, poly, values.setdefault)
+                entry = fill(steps, layout, poly, values.setdefault)
                 entry = entries[key(ids)] = values.setdefault(entry, entry)
             items += entry
     except PoincareViolation:
@@ -429,9 +446,9 @@ def _assemble(pairings, poly, kind, fill, scan):
     return [value for _pos, value in sorted(items)]  # positions are distinct
 
 
-def _cycle_entry(domain, starts, poly, intern):
+def _cycle_entry(steps, starts, poly, intern):
     entry = []
-    for pos, (states, nodes, arrows) in _canonical_traces(domain, poly, starts):
+    for pos, (states, nodes, arrows) in _canonical_traces(steps, poly, starts):
         states, nodes = ([(a[1], p[1]) for a, p in pairs] for pairs in (states, nodes))
         parts = (map(frozenset, states), nodes, arrows)
         cycle = _ridge_cycle(*([intern(x, x) for x in xs] for xs in parts))
@@ -500,10 +517,11 @@ def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
     """
     poly = polytope or build_polytope()
     n, order = len(poly.edge_faces), _face_order(poly)
-    return _orbits(domain, poly, [sheet * n + i for sheet in range(domain.sheets) for i in order])
+    faces = [sheet * n + i for sheet in range(domain.sheets) for i in order]
+    return _orbits(domain.steps, poly, faces)
 
 
-def _orbits(domain: Domain, poly, faces):
+def _orbits(steps, poly, faces):
     """Orbits of the formal faces sheet * 96 + index listed, in that order."""
     edge = poly.edge_faces
     n = len(edge)
@@ -517,7 +535,7 @@ def _orbits(domain: Domain, poly, faces):
 
     # A pairing's step at its target repeats its source step's unions
     # through the inverse table, so each pairing is unioned once.
-    for (sheet, _label), (name, sign, image, mv) in domain.steps.items():
+    for (sheet, _label), (name, sign, image, mv) in steps.items():
         if sign == -1:
             continue
         for i, j in mv.faces.items():
@@ -539,9 +557,9 @@ def _orbits(domain: Domain, poly, faces):
     return [tuple(orbit) for orbit in orbits.values()]
 
 
-def _orbit_entry(domain, layout, poly, intern):
+def _orbit_entry(steps, layout, poly, intern):
     rank = {poly.edge_faces[i].vertices: pos for pos, i in layout}
-    orbits = _orbits(domain, poly, [i for _pos, i in layout])
+    orbits = _orbits(steps, poly, [i for _pos, i in layout])
     return tuple((rank[o[0]], intern(o, o)) for o in (tuple(f for _s, f in o) for o in orbits))
 
 

@@ -63,7 +63,6 @@ class CuspInvariants(NamedTuple):
     representative: tuple
     orientable: bool
     holonomy_order: int
-    linear_parts: tuple      # exact 3x3 linear part per stabilizer generator
     h1_torsion: tuple
     h1_rank: int
     label: str               # Wolf-style tag or "ambiguous"
@@ -244,7 +243,6 @@ def cusp_invariants(stab: CuspStabilizer, eps) -> CuspInvariants:
         representative=stab.cusp.representative,
         orientable=orientable,
         holonomy_order=order,
-        linear_parts=linear,
         h1_torsion=torsion,
         h1_rank=rank,
         label=flat3.classify_flat(orientable, order, torsion, rank),

@@ -101,9 +101,6 @@ class MoebiusWord(NamedTuple):
             tuple(j[r] * m[c][r] * j[c] for c in range(5)) for r in range(5)
         ))
 
-    def lorentz(self):
-        return self.matrix
-
     def is_identity(self) -> bool:
         """True iff the isometry is the identity, i.e. its matrix is I."""
         return self.matrix == LORENTZ_IDENTITY

@@ -12,7 +12,8 @@ light ray of u = ``light_vector(v)``.  Incidences are Lorentz
 orthogonalities: v lies on the side n exactly when <u, n> = 0 (v . c = 1),
 and two sides meet in a right-angled ridge exactly when <n, n'> = 0
 (c . c' = 1).  A side pairing's Lorentz matrix acts on sides, vertices and
-edge faces by integer lookups, tabulated once per (side, matrix).
+edge faces by integer lookups (``Polytope24.action``); the census keeps
+the resulting move tables on its family records.
 """
 
 from __future__ import annotations
@@ -105,22 +106,16 @@ class Polytope24:
         if any(lorentz_dot(u, u) != 0 for u in self.vertex_vectors):
             raise AssertionError("ideal vertices must lie on S^3")
         self._vertex_by_vector = {u: i for i, u in enumerate(self.vertex_vectors)}
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
 
-        # Side sets by vertex index: the loops below run over indices, so
-        # no vertex (a tuple of Fractions) is hashed more than once.
+        # Side sets by vertex index: the loops below run over indices, so a
+        # vertex (a tuple of Fractions) is hashed only into edge-face pairs.
         sides_at = self.sides_at = [
             frozenset(lab for lab, n in self.side_vectors.items() if lorentz_dot(u, n) == 0)
             for u in self.vertex_vectors
         ]
-        self.vertex_sides = dict(zip(self.vertices, sides_at))
         self.side_vertex_indices = {
             lab: tuple(i for i, at in enumerate(sides_at) if lab in at)
             for lab in SIDE_ORDER
-        }
-        self.side_vertices = {
-            lab: tuple(self.vertices[i] for i in indices)
-            for lab, indices in self.side_vertex_indices.items()
         }
 
         ridges = []
@@ -132,7 +127,6 @@ class Polytope24:
                 )
                 ridges.append(Ridge(frozenset((la, lb)), verts))
         self.ridges = tuple(ridges)
-        self.ridge_by_sides = {r.sides: r for r in self.ridges}
 
         faces = []
         for ia, ib in itertools.combinations(range(len(sides_at)), 2):
@@ -141,7 +135,6 @@ class Polytope24:
                 pair = frozenset((self.vertices[ia], self.vertices[ib]))
                 faces.append(EdgeFace(pair, common, (ia, ib)))
         self.edge_faces = tuple(faces)
-        self.edge_face_by_vertices = {f.vertices: f for f in self.edge_faces}
         self.edge_face_at = {frozenset(f.ends): i for i, f in enumerate(faces)}
 
         self.neighbours = {lab: set() for lab in SIDE_ORDER}
@@ -149,9 +142,6 @@ class Polytope24:
             la, lb = r.sides
             self.neighbours[la].add(lb)
             self.neighbours[lb].add(la)
-
-        # (side label, Lorentz matrix) -> action tables, filled by ``action``.
-        self.actions = {}
 
     def side_of_vector(self, w):
         """Label of the side whose Lorentz vector is +-w, or None.
@@ -174,12 +164,6 @@ class Polytope24:
         ``label`` onto, or None."""
         return self.side_of_vector(lorentz_apply(matrix, self.side_vectors[label]))
 
-    def vertex_image(self, matrix, v):
-        """The ideal vertex an integer Lorentz matrix carries vertex v to,
-        or None."""
-        i = self.vertex_index_image(matrix, self.vertex_index[v])
-        return None if i is None else self.vertices[i]
-
     def vertex_index_image(self, matrix, i):
         """Index of the image of the ideal vertex of index i, or None."""
         return self.vertex_of_vector(lorentz_apply(matrix, self.vertex_vectors[i]))
@@ -192,19 +176,7 @@ class Polytope24:
         ``faces`` each index of an edge face on it (ascending) to the index
         of its image face; None marks an image that is not a side, vertex
         or edge face.
-
-        The tables depend on nothing but (label, matrix), so each is
-        computed once and shared by every caller: they must not be mutated.
-        The key is the exact matrix, so a word that differs in any entry
-        gets its own tables.
         """
-        key = (label, matrix)
-        tables = self.actions.get(key)
-        if tables is None:
-            tables = self.actions[key] = self._action(label, matrix)
-        return tables
-
-    def _action(self, label, matrix):
         sides = {nb: self.side_image(matrix, nb) for nb in self.neighbours[label]}
         vertices = {
             i: self.vertex_index_image(matrix, i) for i in self.side_vertex_indices[label]

@@ -79,6 +79,11 @@ def wide_codes():
     return list(codes)
 
 
+def side_vertices(poly, label):
+    """The ideal vertices on side ``label``, read off its vertex indices."""
+    return tuple(poly.vertices[i] for i in poly.side_vertex_indices[label])
+
+
 _LOW_BIT_DIGITS = [
     [f"{d:x}" for d in range(1, 16) if (d & -d).bit_length() - 1 in support]
     for _letters, support in census.FAMILIES

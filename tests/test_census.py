@@ -5,6 +5,7 @@ import pytest
 
 import moebius_oracle as oracle
 import reference_tables as rt
+from conftest import side_vertices
 from cell24 import census, cover, groups
 from cell24.census import InvalidCode, ParseError, PoincareViolation
 from cell24.groups import word_str
@@ -56,10 +57,13 @@ def test_pairing_words_map_spheres(pairings):
     # side (so the source sphere onto the target sphere), and back.
     poly = build_polytope()
     for p in pairings:
-        src, tgt = poly.side_vertices[p.source.label], poly.side_vertices[p.target.label]
+        src, tgt = side_vertices(poly, p.source.label), side_vertices(poly, p.target.label)
         assert {oracle.pairing_point(p, v) for v in src} == set(tgt)
         assert {oracle.pairing_point(p, v, -1) for v in tgt} == set(src)
-        assert {poly.vertex_image(p.word.lorentz(), v) for v in src} == set(tgt)
+        assert {
+            poly.vertices[poly.vertex_index_image(p.word.matrix, i)]
+            for i in poly.side_vertex_indices[p.source.label]
+        } == set(tgt)
 
 
 def test_example_arrows(pairings):
@@ -131,12 +135,13 @@ def test_edge_classes(pairings):
 def test_edge_faces_map_to_edge_faces(pairings):
     poly = build_polytope()
     moves = census.moves_by_side(pairings, poly)
+    faces = {f.vertices for f in poly.edge_faces}
     for face in poly.edge_faces:
         for side_label in face.sides:
             mv = moves[side_label]
             move = ((mv.letter, mv.sign),)
             image = frozenset(oracle.word_point(move, pairings, v) for v in face.vertices)
-            assert image in poly.edge_face_by_vertices
+            assert image in faces
 
 
 def test_presentation(pairings, cycles, base_presentation):

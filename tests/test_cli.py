@@ -9,7 +9,7 @@ import pytest
 import cell24
 from cell24 import census, cover, cusps, flat3, groups, kirby
 from cell24.cli import main
-from cell24.polytope import build_polytope
+from cell24.polytope import Polytope24
 
 
 def run(capsys, *argv):
@@ -201,16 +201,24 @@ def test_validate_rejects_non_manifold(capsys):
 
 def test_cusps_computes_each_move_table_once(capsys, monkeypatch):
     # cusps traces the gluing, the vertex classes and each cusp's stabilizer
-    # through the same 24 moves; each (side, matrix) action is computed once.
-    poly = build_polytope()
-    poly.actions.clear()
-    fresh = []
-    compute = poly._action
+    # through the same 24 moves, and the cover, invariants, kirby and trace
+    # commands build the cover over them; from fresh tables each command
+    # computes each move's action once, into the code's family records.
+    action, calls = Polytope24.action, []
     monkeypatch.setattr(
-        poly, "_action", lambda label, m: fresh.append((label, m)) or compute(label, m)
+        Polytope24, "action", lambda self, *key: calls.append(key) or action(self, *key)
     )
-    assert run(capsys, "cusps", "146928")[0] == 0
-    assert len(fresh) == len(set(fresh)) == 24
+    for argv in (
+        ["cusps", "146928"],
+        ["cover", "146928"],
+        ["invariants", "146928"],
+        ["kirby", "146928", "--cover", "--fill"],
+        ["trace", "146928", "--script", "m35-cover-fill"],
+    ):
+        census._local_tables.cache_clear()
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == len(set(calls)) == 24, argv
 
 
 def test_cusps_builds_each_cusp_group_once(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 import moebius_oracle as oracle
 import reference_tables as rt
+from conftest import side_vertices
 from cell24 import census, cover, groups
 from cell24.groups import word_from_str
 
@@ -48,7 +49,7 @@ def test_cover_words_map_spheres(double_cover):
 
     def vertices_of(side):
         sheet, label = side
-        vs = poly.side_vertices[label]
+        vs = side_vertices(poly, label)
         if sheet == 0:
             return set(vs)
         return {oracle.word_point(alpha_inv, base, v) for v in vs}

@@ -226,8 +226,8 @@ def test_vertex_class_graph_is_pairing_orbit(pairings, cusp_classes):
     for cls in cusp_classes:
         for v in cls.vertices:
             by_vertex[v] = cls
-    for v in poly.vertices:
-        for side_label in poly.vertex_sides[v]:
+    for v, sides in zip(poly.vertices, poly.sides_at):
+        for side_label in sides:
             mv = poly_moves[side_label]
             image = oracle.word_point(((mv.letter, mv.sign),), pairings, v)
             assert by_vertex[image] is by_vertex[v]

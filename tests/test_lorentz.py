@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import moebius_oracle as oracle
+from conftest import side_vertices
 from cell24 import census
 from cell24.moebius import (
     LORENTZ_FORM,
@@ -85,7 +86,7 @@ def test_atom_matrices_match_point_action(pairings):
     letters = [p.letter for p in pairings]
     for _ in range(10):
         word = tuple((rng.choice(letters), rng.choice((1, -1))) for _ in range(7))
-        m = census.word_isometry(word, pairings).lorentz()
+        m = census.word_isometry(word, pairings).matrix
         for v in points:
             assert ball_point(m, v) == oracle.word_point(word, pairings, v)
 
@@ -104,7 +105,7 @@ def test_lorentz_rejects_maps_off_the_ball(pairings):
 def test_pairing_matrices_preserve_the_form(sample_codes):
     for code in oracle_codes(sample_codes):
         for p in census.build_pairings(census.parse_code(code)):
-            m, inv = p.word.lorentz(), p.word.inverse().lorentz()
+            m, inv = p.word.matrix, p.word.inverse().matrix
             assert lorentz_mul(m, inv) == LORENTZ_IDENTITY
             for m in (m, inv):
                 assert all(isinstance(x, int) for row in m for x in row)
@@ -126,6 +127,7 @@ def test_move_tables_match_moebius_evaluation(sample_codes):
     # orthogonal to S^3, so a table entry holds when the oracle's images of
     # the six lie on the entry's sphere, and None when they lie on no side.
     poly = build_polytope()
+    index = {v: i for i, v in enumerate(poly.vertices)}
     for code in oracle_codes(sample_codes):
         pairings = census.build_pairings(census.parse_code(code))
         by_letter = {p.letter: p for p in pairings}
@@ -139,54 +141,63 @@ def test_move_tables_match_moebius_evaluation(sample_codes):
 
             assert set(mv.sides) == poly.neighbours[label]
             for nb, entry in mv.sides.items():
-                points = [image(v) for v in poly.side_vertices[nb]]
+                points = [image(v) for v in side_vertices(poly, nb)]
                 if entry is None:
                     assert oracle.side_of_points(points, poly) is None
                 else:
                     assert all(oracle.on_sphere(poly.sides[entry].center, p) for p in points)
             assert mv.vertices == {
-                poly.vertex_index[v]: poly.vertex_index.get(image(v))
-                for v in poly.side_vertices[label]
+                i: index.get(image(poly.vertices[i])) for i in poly.side_vertex_indices[label]
             }
 
 
-def test_move_face_tables_match_point_oracle(sample_codes):
+def test_move_face_tables_match_point_oracle(sample_codes, monkeypatch):
     # An edge face is the span of its two ideal vertices, so its image is
-    # the edge face spanned by the oracle images of the two, or None.  Moves
-    # with the same side and matrix share one table, checked once.
+    # the edge face spanned by the oracle images of the two, or None.  Codes
+    # sharing a digit share that family's Move objects, checked once.
+    census._local_tables.cache_clear()
+    action, calls = Polytope24.action, []
+    monkeypatch.setattr(
+        Polytope24, "action", lambda self, *key: calls.append(key) or action(self, *key)
+    )
     poly = build_polytope()
-    poly.actions.clear()
     fresh = Polytope24()
     face_index = {f.vertices: i for i, f in enumerate(poly.edge_faces)}
     checked = {}
-    digits = set()
     for code in ["146928"] + sample_codes:
         pairings = census.build_pairings(census.parse_code(code))
         census.ridge_cycles(pairings)
         census.edge_classes(pairings)
-        digits.update(enumerate(code))
         by_letter = {p.letter: p for p in pairings}
-        for label, mv in census.moves_by_side(pairings).items():
-            key = (label, mv.word.lorentz())
-            if key in checked:
-                assert mv.faces is checked[key]
+        moves = census.moves_by_side(pairings)
+        for family, digit in enumerate(code):
+            letters = census.FAMILIES[family][0]
+            own = {label: mv for label, mv in moves.items() if mv.letter in letters}
+            if (family, digit) in checked:
+                assert own.keys() == checked[family, digit].keys()
+                assert all(mv is checked[family, digit][label] for label, mv in own.items())
                 continue
-            checked[key] = mv.faces
-            assert set(mv.faces) == {
-                i for i, f in enumerate(poly.edge_faces) if label in f.sides
-            }
-            for i, entry in mv.faces.items():
-                ends = frozenset(
-                    oracle.pairing_point(by_letter[mv.letter], v, mv.sign)
-                    for v in poly.edge_faces[i].vertices
-                )
-                assert entry == face_index.get(ends)
-            # A memo hit returns what a polytope with no cached tables
-            # computes afresh.
-            assert (mv.sides, mv.vertices, mv.faces) == fresh.action(*key)
-    # The battery caches nothing else: one action per (family, digit) move,
-    # two pairings of two moves per usable digit, 4 * 45 = 180 at most.
-    assert len(poly.actions) == len(checked) == 4 * len(digits) <= 180
+            checked[family, digit] = own
+            for label, mv in own.items():
+                assert set(mv.faces) == {
+                    i for i, f in enumerate(poly.edge_faces) if label in f.sides
+                }
+                for i, entry in mv.faces.items():
+                    ends = frozenset(
+                        oracle.pairing_point(by_letter[mv.letter], v, mv.sign)
+                        for v in poly.edge_faces[i].vertices
+                    )
+                    assert entry == face_index.get(ends)
+                # The record's tables are what a fresh polytope computes
+                # from the move's matrix.
+                word = by_letter[mv.letter].word
+                matrix = (word if mv.sign == 1 else word.inverse()).matrix
+                assert (mv.sides, mv.vertices, mv.faces) == action(fresh, label, matrix)
+    # The family records are the only cache: one action per move of each
+    # record, two pairings of two moves per usable digit, 4 * 45 = 180 at
+    # most.
+    _family, records, _tables, _values = census._local_tables(poly)
+    assert len(calls) == 4 * len(records) == 4 * len(checked) <= 180
 
 
 def test_is_identity_agrees_with_six_point_certificate(sample_codes):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import moebius_oracle as oracle
+from conftest import side_vertices
 from cell24 import census
 from cell24.groups import word_from_str
 from cell24.moebius import (
@@ -49,12 +50,12 @@ def test_inversion_center_and_fixed_point():
 def test_pairing_a_moves_side_spheres(pairings):
     poly = build_polytope()
     a = next(p for p in pairings if p.letter == "a")
-    assert poly.side_image(a.word.lorentz(), "C") == "D"
-    assert poly.side_image(a.word.lorentz(), "E") == "E"
+    assert poly.side_image(a.word.matrix, "C") == "D"
+    assert poly.side_image(a.word.matrix, "E") == "E"
     for side, image in (("C", "D"), ("E", "E")):
-        points = [oracle.pairing_point(a, v) for v in poly.side_vertices[side]]
+        points = [oracle.pairing_point(a, v) for v in side_vertices(poly, side)]
         assert oracle.side_of_points(points, poly) == image
-    assert poly.side_image(MoebiusWord().lorentz(), "K") == "K"
+    assert poly.side_image(MoebiusWord().matrix, "K") == "K"
 
 
 def test_atomic_involutions():
@@ -85,9 +86,9 @@ def test_sphere_point_compatibility(pairings):
         word = tuple(
             (rng.choice(letters), rng.choice((1, -1))) for _ in range(rng.randint(1, 6))
         )
-        m = census.word_isometry(word, pairings).lorentz()
+        m = census.word_isometry(word, pairings).matrix
         label = rng.choice(list(poly.sides))
-        p = rng.choice(poly.side_vertices[label])
+        p = rng.choice(side_vertices(poly, label))
         assert oracle.on_sphere(poly.sides[label].center, p)
         image = oracle.word_point(word, pairings, p)
         assert lorentz_dot(image + (1,), lorentz_apply(m, poly.side_vectors[label])) == 0

@@ -18,7 +18,7 @@ def test_counts():
 
 def test_ridge_ac_vertices():
     poly = build_polytope()
-    ridge = poly.ridge_by_sides[frozenset(("A", "C"))]
+    ridge = next(r for r in poly.ridges if r.sides == frozenset(("A", "C")))
     expected = {
         (1, 0, 0, 0),
         (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
@@ -44,10 +44,11 @@ def test_ridges_per_side():
 
 def test_vertex_side_incidence():
     poly = build_polytope()
-    for v in poly.vertices:
-        assert len(poly.vertex_sides[v]) == 6
+    assert len(poly.sides_at) == len(poly.vertices)
+    for sides in poly.sides_at:
+        assert len(sides) == 6
     for label in SIDE_ORDER:
-        assert len(poly.side_vertices[label]) == 6
+        assert len(poly.side_vertex_indices[label]) == 6
 
 
 def test_face_shapes():
