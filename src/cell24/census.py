@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, reduce
-from math import prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -63,6 +62,9 @@ FAMILIES = (
 LETTERS = tuple(letter for letters, _ in FAMILIES for letter in letters)
 LETTER_INDEX = {letter: i for i, letter in enumerate(LETTERS)}
 
+# Digit d -> its sign vector k: coordinate j is -1 exactly when bit j is set.
+_KVECTORS = tuple(tuple(-1 if d >> j & 1 else 1 for j in range(4)) for d in range(16))
+
 
 def parse_code(text: str):
     """Decode six hex digits into six sign vectors, one per family."""
@@ -75,15 +77,11 @@ def parse_code(text: str):
     kvecs = []
     for digit, (letters, support) in zip(digits, FAMILIES):
         if digit == 0:
-            raise InvalidCode(
-                f"digit 0 for family {letters} is the identity and fixes "
-                "every centre of the family"
-            )
-        k = tuple(-1 if digit >> j & 1 else 1 for j in range(4))
-        if all(k[j] == 1 for j in support):
-            raise InvalidCode(
-                f"digit {digit:x} fixes the centres of family {letters}"
-            )
+            raise InvalidCode(f"digit 0 for family {letters} is the identity and fixes "
+                              "every centre of the family")
+        k = _KVECTORS[digit]
+        if k[support[0]] == k[support[1]] == 1:
+            raise InvalidCode(f"digit {digit:x} fixes the centres of family {letters}")
         kvecs.append(k)
     return kvecs
 
@@ -137,11 +135,8 @@ def _family_pairings(poly: Polytope24, index: int, k: tuple):
         if all((s.center[j] != 0) == (j in support) for j in range(4))
     ]
     first_flip = next(j for j in support if k[j] == -1)
-    sources = sorted(
-        (s for s in family_sides if s.center[first_flip] == 1),
-        key=lambda s: s.center,
-        reverse=True,
-    )
+    sources = sorted((s for s in family_sides if s.center[first_flip] == 1),
+                     key=lambda s: s.center, reverse=True)
     pairings = []
     for letter, src in zip(letters, sources):
         tgt_center = tuple(sign * c for sign, c in zip(k, src.center))
@@ -150,10 +145,8 @@ def _family_pairings(poly: Polytope24, index: int, k: tuple):
         # diagonal applied first.
         word = MoebiusWord(lorentz_mul(reflection(poly.side_vectors[tgt.label]), diagonal(k)))
         if poly.side_image(word.matrix, src.label) != tgt.label:
-            raise InvalidCode(
-                f"pairing {letter} does not carry its source sphere to "
-                "its target sphere"
-            )
+            raise InvalidCode(f"pairing {letter} does not carry its source sphere to "
+                              "its target sphere")
         pairings.append(SidePairing(letter, src, tgt, k, word))
     return tuple(pairings)
 
@@ -166,7 +159,10 @@ def orientation_character(pairings) -> dict:
 
 
 def eps_of_word(word, eps) -> int:
-    return prod(eps[sym] for sym, _sign in word)
+    sign = 1
+    for sym, _sign in word:
+        sign *= eps[sym]
+    return sign
 
 
 class Move(NamedTuple):
@@ -195,7 +191,7 @@ def moves_by_side(pairings, polytope: Polytope24 | None = None):
     records."""
     moves = {
         label: step[3]
-        for _id, steps in _family_records(pairings, polytope or build_polytope())
+        for _id, steps, _group in _family_records(pairings, polytope or build_polytope())
         for (_sheet, label), step in steps.items()
     }
     if len(moves) != 24:
@@ -257,13 +253,15 @@ class RidgeCycle:
     labels on the code's polytope and (sheet, label) on a sheeted domain.
     """
 
-    __slots__ = ("nodes", "arrows", "relator", "ridges")
+    __slots__ = ("nodes", "arrows", "relator", "ridges", "letters", "isometry")
 
     def __init__(self, nodes, arrows, relator, ridges):
         self.nodes = nodes        # ((a, p), ...) side pairs, length = cycle length
         self.arrows = arrows      # ((name, sign), ...)
         self.relator = relator    # Word: ((name, sign), ...)
         self.ridges = ridges      # frozenset of the unordered ridges visited
+        self.letters = ()         # census tables: ((LETTERS index, SidePairing), ...)
+        self.isometry = None      # and the relator's isometry folded from them
 
     def __len__(self):
         return len(self.arrows)
@@ -296,18 +294,14 @@ def _trace(start, steps, poly):
         name, sign, image, mv = steps[active]
         partner = mv.sides[passive[1]]
         if partner is None:
-            raise PoincareViolation(
-                f"pairing {name} maps side {passive[1]} off the side lattice"
-            )
+            raise PoincareViolation(f"pairing {name} maps side {passive[1]} off the side lattice")
         if not poly.adjacent(image[1], partner):
             raise PoincareViolation(f"image pair {image[1]},{partner} is not a ridge")
         partner = (image[0], partner)
         arrows.append((name, sign))
         state = (partner, image)
-        slots = (
-            image if slots[0] == active else partner,
-            partner if slots[1] == passive else image,
-        )
+        slots = (image if slots[0] == active else partner,
+                 partner if slots[1] == passive else image)
         if state == start:
             break
         if len(states) > 8 * len(steps):
@@ -365,11 +359,12 @@ def domain_cycles(domain: Domain, polytope: Polytope24 | None = None):
 
 @lru_cache(maxsize=None)
 def _local_tables(poly: Polytope24):
-    """(family of each side label, family records, tables by kind, interned
-    values), empty until codes fill them.  Sign diagonals keep each family's
-    support, so a ridge cycle depends only on its two families' pairings and
-    an edge-face orbit on its three's.  A table is (families, key of their
-    ids, layout of (position, state or face) items, entries)."""
+    """(family of each side label, family records by value and by identity,
+    tables by kind, interned values), empty until codes fill them.  Sign
+    diagonals keep each family's support, so a ridge cycle depends only on
+    its two families' pairings and an edge-face orbit on its three's.  A
+    table is (families, key of their ids, layout of (position, state or
+    face) items, entries)."""
     family = {s.label: [f for _letters, f in FAMILIES].index(
         tuple(j for j in range(4) if s.center[j])) for s in poly.sides.values()}
 
@@ -380,7 +375,7 @@ def _local_tables(poly: Polytope24):
         return [(fs, itemgetter(*fs), layout, {}) for fs, layout in layouts.items()]
 
     faces, states = poly.edge_faces, enumerate(_ridge_states(poly, 1))
-    return family, {}, {
+    return family, {}, {}, {
         "pairs": tables(((family[a[1]], family[p[1]]), (pos, (a, p))) for pos, (a, p) in states),
         "triples": tables(([family[label] for label in faces[i].sides], (pos, i))
                           for pos, i in enumerate(_face_order(poly))),
@@ -393,13 +388,22 @@ def _family_records(pairings, poly):
 
     A family's record is keyed by its exact tuple of pairings (those with a
     source side in the family, in list order), never by digits or letters.
-    It holds (id, steps): the one-sheet steps of those pairings, whose moves
-    are read off each word's matrix when the record is made, and a small id
-    keying table entries, or None when the pairings do not keep the family
-    (their sides are not its four sides, or a move sends a side across
-    families).
+    It holds (id, steps, pairings): a small id keying table entries, or None
+    when the pairings do not keep the family (their sides are not its four
+    sides, or a move sends a side across families), the one-sheet steps of
+    the pairings, whose moves are read off each word's matrix when the
+    record is made, and the pairings themselves.
+
+    A tuple's hash hashes every matrix, so a record is also keyed by the ids
+    of its own pairings (it keeps them alive) at positions 2f, 2f + 1 of 12.
     """
-    family, records, _tables, _values = _local_tables(poly)
+    family, records, known, _tables, _values = _local_tables(poly)
+    ids = map(id, pairings)
+    keys = list(zip(range(len(FAMILIES)), ids, ids))
+    if len(pairings) == 12:
+        found = list(map(known.get, keys))
+        if None not in found:
+            return found
     groups = [[] for _ in FAMILIES]
     for p in pairings:
         groups[family[p.source.label]].append(p)
@@ -417,14 +421,16 @@ def _family_records(pairings, poly):
             own = sorted(family[label] for _sheet, label in steps) == [index] * 4
             own = own and not any(b and family[b] != family[a]
                                   for *_, mv in steps.values() for a, b in mv.sides.items())
-            record = records[group] = (len(records) if own else None, steps)
+            record = records[group] = (len(records) if own else None, steps, group)
         found.append(record)
+        if len(pairings) == 12 and (index, *map(id, record[2])) == keys[index]:
+            known[keys[index]] = record
     return found
 
 
 def _assemble(pairings, poly, kind, fill, scan):
     """The pairings' entries in the ``kind`` tables, filled as needed, merged."""
-    _family, _records, tables, values = _local_tables(poly)
+    _family, _records, _known, tables, values = _local_tables(poly)
     try:
         found = _family_records(pairings, poly)
         ids = [record[0] for record in found]
@@ -436,7 +442,8 @@ def _assemble(pairings, poly, kind, fill, scan):
             entry = entries.get(key(ids))
             if entry is None:
                 steps = {side: step for f in families for side, step in found[f][1].items()}
-                entry = fill(steps, layout, poly, values.setdefault)
+                pairs = [p for f in families for p in found[f][2]]
+                entry = fill(steps, pairs, layout, poly, values.setdefault)
                 entry = entries[key(ids)] = values.setdefault(entry, entry)
             items += entry
     except PoincareViolation:
@@ -446,13 +453,25 @@ def _assemble(pairings, poly, kind, fill, scan):
     return [value for _pos, value in sorted(items)]  # positions are distinct
 
 
-def _cycle_entry(steps, starts, poly, intern):
+def _cycle_entry(steps, pairings, starts, poly, intern):
+    """Each cycle shares its parts with equal traces of other entries, but
+    is the entry's own: it keeps its relator's isometry, folded once from
+    the entry's pairings, and those pairings (see ``cycle_moebius_word``)."""
+    by_letter = {p.letter: p for p in pairings}
     entry = []
     for pos, (states, nodes, arrows) in _canonical_traces(steps, poly, starts):
         states, nodes = ([(a[1], p[1]) for a, p in pairs] for pairs in (states, nodes))
         parts = (map(frozenset, states), nodes, arrows)
-        cycle = _ridge_cycle(*([intern(x, x) for x in xs] for xs in parts))
-        entry.append((pos, intern((cycle.nodes, cycle.arrows), cycle)))
+        shared = _ridge_cycle(*([intern(x, x) for x in xs] for xs in parts))
+        shared = intern((shared.nodes, shared.arrows), shared)
+        cycle = RidgeCycle(shared.nodes, shared.arrows, shared.relator, shared.ridges)
+        used = [by_letter[sym] for sym in dict.fromkeys(sym for sym, _sign in cycle.relator)]
+        if all(p.letter in LETTER_INDEX for p in used):
+            word = word_isometry(cycle.relator, used)
+            letters = [(LETTER_INDEX[p.letter], p) for p in used]
+            cycle.letters = tuple(intern(x, x) for x in letters)
+            cycle.isometry = intern(word, word)
+        entry.append((pos, cycle))
     return tuple(entry)
 
 
@@ -481,23 +500,16 @@ def word_isometry(word, pairings) -> MoebiusWord:
     return MoebiusWord(reduce(lorentz_mul, matrices or [LORENTZ_IDENTITY]))
 
 
-# Ridge-cycle relator -> its isometry, filled by ``cycle_moebius_word`` under
-# the flat key (word, sign, word, sign, ...) of the exact letter words passed
-# in, never names or digits, so a corrupted word gets its own product.  The
-# benchmark codes' 1,508 relators have 83 distinct products, interned once.
-_RELATOR_ISOMETRIES = {}
-_PRODUCTS = {}
-
-
 def cycle_moebius_word(cycle: RidgeCycle, pairings) -> MoebiusWord:
-    key = ()
-    for sym, sign in cycle.relator:
-        key += (_letter_word(sym, pairings), sign)
-    word = _RELATOR_ISOMETRIES.get(key)
-    if word is None:
-        word = word_isometry(cycle.relator, pairings)
-        word = _RELATOR_ISOMETRIES[key] = _PRODUCTS.setdefault(word, word)
-    return word
+    """The isometry of the cycle's relator over ``pairings``: the product
+    the census table stored when every pairing it was folded from is the
+    very object at its ``LETTERS`` index of ``pairings``, else a fresh fold
+    (cover cycles, value-equal copies, corrupted words)."""
+    word = cycle.isometry
+    for i, p in cycle.letters:
+        if i >= len(pairings) or pairings[i] is not p:
+            word = None
+    return word or word_isometry(cycle.relator, pairings)
 
 
 @lru_cache(maxsize=None)
@@ -557,7 +569,7 @@ def _orbits(steps, poly, faces):
     return [tuple(orbit) for orbit in orbits.values()]
 
 
-def _orbit_entry(steps, layout, poly, intern):
+def _orbit_entry(steps, _pairings, layout, poly, intern):
     rank = {poly.edge_faces[i].vertices: pos for pos, i in layout}
     orbits = _orbits(steps, poly, [i for _pos, i in layout])
     return tuple((rank[o[0]], intern(o, o)) for o in (tuple(f for _s, f in o) for o in orbits))
@@ -572,10 +584,8 @@ def edge_classes(pairings, polytope: Polytope24 | None = None):
 
 def presentation(pairings, cycles) -> "groups.Presentation":
     """Generators a..l, one relator per ridge cycle."""
-    return groups.Presentation(
-        generators=tuple(p.letter for p in pairings),
-        relators=tuple(c.relator for c in cycles),
-    )
+    return groups.Presentation(generators=tuple(p.letter for p in pairings),
+                               relators=tuple(c.relator for c in cycles))
 
 
 class ValidationReport:
@@ -608,16 +618,10 @@ def check_gluing(pairings, report: ValidationReport, polytope: Polytope24 | None
     lengths = report.cycle_lengths = dict(Counter(len(c) for c in cycles))
     covered = frozenset().union(*(c.ridges for c in cycles))
     # A right-angled ridge closes up after exactly four dihedral angles.
-    cycles_ok = (
-        sum(len(c.ridges) for c in cycles) == len(poly.ridges)
-        and len(covered) == len(poly.ridges)
-        and set(lengths) == {4}
-    )
-    report.add(
-        "ridge cycles",
-        cycles_ok,
-        f"{len(cycles)} cycles, lengths {lengths}, ridges partitioned",
-    )
+    cycles_ok = (sum(len(c.ridges) for c in cycles) == len(poly.ridges)
+                 and len(covered) == len(poly.ridges) and set(lengths) == {4})
+    report.add("ridge cycles", cycles_ok,
+               f"{len(cycles)} cycles, lengths {lengths}, ridges partitioned")
     identity_ok = all(cycle_moebius_word(c, pairings).is_identity() for c in cycles)
     report.add("cycle relators are identity isometries", identity_ok)
     eps_ok = all(eps_of_word(c.relator, eps) == 1 for c in cycles)
@@ -627,11 +631,7 @@ def check_gluing(pairings, report: ValidationReport, polytope: Polytope24 | None
     sizes = sorted(len(o) for o in orbits)
     # The link of a right-angled edge is the 8 octants of a 3-ball.
     orbit_ok = sum(sizes) == len(poly.edge_faces) and set(sizes) == {8}
-    report.add(
-        "edge-face orbits",
-        orbit_ok,
-        f"{len(orbits)} orbits (3-handles), sizes {sizes}",
-    )
+    report.add("edge-face orbits", orbit_ok, f"{len(orbits)} orbits (3-handles), sizes {sizes}")
     return cycles_ok and identity_ok and eps_ok and orbit_ok, cycles, orbits
 
 
@@ -643,10 +643,8 @@ def require_manifold(pairings, polytope: Polytope24 | None = None):
     ok, cycles, orbits = check_gluing(pairings, report, polytope)
     if not ok:
         name, _passed, detail = next(c for c in report.checks if not c[1])
-        raise PoincareViolation(
-            f"not a manifold gluing: the {name} check fails"
-            + (f" ({detail})" if detail else "")
-        )
+        raise PoincareViolation(f"not a manifold gluing: the {name} check fails"
+                                + (f" ({detail})" if detail else ""))
     return cycles, orbits
 
 

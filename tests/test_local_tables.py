@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 import cell24
-from cell24 import census
+from cell24 import census, moebius
 from cell24.census import InvalidCode, PoincareViolation
 from cell24.moebius import MoebiusWord
 from cell24.polytope import Polytope24, build_polytope
@@ -100,7 +100,7 @@ def test_family_pairs_and_triples():
     triples = Counter(frozenset(side_family(poly, s) for s in f.sides) for f in poly.edge_faces)
     assert all(len(families) == 3 for families in triples)
     assert sorted(triples.values()) == [8] * 4 + [16] * 4
-    _family, _records, by_kind, _values = census._local_tables(poly)
+    _family, _records, _known, by_kind, _values = census._local_tables(poly)
     assert sorted(len(layout) for _f, _key, layout, _entries in by_kind["pairs"]) == [16] * 12
     assert sorted(len(layout) for _f, _key, layout, _entries in by_kind["triples"]) == (
         [8] * 4 + [16] * 4
@@ -109,7 +109,7 @@ def test_family_pairs_and_triples():
 
 def test_tables_start_empty_and_fill_lazily():
     poly = Polytope24()
-    _family, records, by_kind, values = census._local_tables(poly)
+    _family, records, _known, by_kind, values = census._local_tables(poly)
     entries = [e for kind in ("pairs", "triples") for _f, _key, _layout, e in by_kind[kind]]
     assert records == {} and values == {} and all(e == {} for e in entries)
     pairings = census.build_pairings(census.parse_code("146928"), poly)
@@ -147,7 +147,7 @@ def test_corrupted_word_gets_its_own_entries(pairings):
     # digits or letters: a corrupted word of the same digit and letter gets
     # a family record and entries of its own.
     poly = build_polytope()
-    _family, records, by_kind, _values = census._local_tables(poly)
+    _family, records, _known, by_kind, _values = census._local_tables(poly)
     census.ridge_cycles(pairings, poly)
     before = len(records), sum(len(e) for _f, _key, _layout, e in by_kind["pairs"])
     broken = list(pairings)
@@ -170,6 +170,53 @@ def test_tables_match_whole_domain_engine(codes, request):
         pairings = census.build_pairings(census.parse_code(code), poly)
         assert table_cycles(pairings, poly) == whole_cycles(pairings, poly), code
         assert table_orbits(pairings, poly) == whole_orbits(pairings, poly), code
+
+
+def test_cycles_keep_their_relator_isometries(sample_codes, wide_codes, seeded_codes,
+                                             monkeypatch):
+    # A table cycle keeps its relator's isometry, folded once from its
+    # entry's pairings: it equals a fresh fold for every cycle, a warm pass
+    # multiplies no matrix, and value-equal copies of the pairings (other
+    # objects) get a fresh fold, not the stored product.
+    poly = build_polytope()
+    codes = sample_codes + wide_codes + seeded_codes
+    for code in codes:
+        pairings = census.build_pairings(census.parse_code(code), poly)
+        for c in census.ridge_cycles(pairings, poly):
+            want = census.word_isometry(c.relator, pairings)
+            assert census.cycle_moebius_word(c, pairings) == want, code
+    calls, mul = [], moebius.lorentz_mul
+
+    def counting_mul(a, b):
+        calls.append(a)
+        return mul(a, b)
+
+    monkeypatch.setattr(census, "lorentz_mul", counting_mul)
+    monkeypatch.setattr(moebius, "lorentz_mul", counting_mul)
+    for code in codes:
+        pairings = census.build_pairings(census.parse_code(code), poly)
+        for c in census.ridge_cycles(pairings, poly):
+            census.cycle_moebius_word(c, pairings)
+    assert calls == []
+    pairings = census.build_pairings(census.parse_code("146928"), poly)
+    copies = [p._replace() for p in pairings]
+    assert copies == pairings and not any(p is q for p, q in zip(copies, pairings))
+    cycles = census.ridge_cycles(copies, poly)
+    assert all(c is d for c, d in zip(cycles, census.ridge_cycles(pairings, poly)))
+    for c in cycles:
+        before = len(calls)
+        assert census.cycle_moebius_word(c, copies) == census.cycle_moebius_word(c, pairings)
+        assert len(calls) == before + len(c.relator) - 1
+    # Lists in another order reach the same records and cycles, and a list
+    # with the letters at other positions gets the fold.
+    swapped = pairings[2:4] + pairings[:2] + pairings[4:]
+    assert census.ridge_cycles(swapped, poly) == cycles
+    assert census.edge_classes(swapped, poly) == census.edge_classes(pairings, poly)
+    shifted = pairings[6:]
+    names = {p.letter for p in shifted}
+    kept = [c for c in cycles if {sym for sym, _sign in c.relator} <= names]
+    assert kept and all(census.cycle_moebius_word(c, shifted) ==
+                        census.word_isometry(c.relator, shifted) for c in kept)
 
 
 @pytest.fixture(scope="module")

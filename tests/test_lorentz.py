@@ -196,7 +196,7 @@ def test_move_face_tables_match_point_oracle(sample_codes, monkeypatch):
     # The family records are the only cache: one action per move of each
     # record, two pairings of two moves per usable digit, 4 * 45 = 180 at
     # most.
-    _family, records, _tables, _values = census._local_tables(poly)
+    _family, records, _known, _tables, _values = census._local_tables(poly)
     assert len(calls) == 4 * len(records) == 4 * len(checked) <= 180
 
 
