@@ -64,16 +64,17 @@ LETTER_INDEX = {letter: i for i, letter in enumerate(LETTERS)}
 
 # Digit d -> its sign vector k: coordinate j is -1 exactly when bit j is set.
 _KVECTORS = tuple(tuple(-1 if d >> j & 1 else 1 for j in range(4)) for d in range(16))
+# ASCII hex digits only: int(ch, 16) also reads any Unicode decimal digit.
+_HEX = {ch: int(ch, 16) for ch in "0123456789abcdefABCDEF"}
 
 
 def parse_code(text: str):
     """Decode six hex digits into six sign vectors, one per family."""
     if not isinstance(text, str) or len(text) != 6:
         raise ParseError(f"code must be exactly six hex digits, got {text!r}")
-    try:
-        digits = [int(ch, 16) for ch in text]
-    except ValueError:
-        raise ParseError(f"code must be hex digits, got {text!r}") from None
+    digits = [_HEX.get(ch) for ch in text]
+    if None in digits:
+        raise ParseError(f"code must be hex digits, got {text!r}")
     kvecs = []
     for digit, (letters, support) in zip(digits, FAMILIES):
         if digit == 0:
@@ -191,7 +192,7 @@ def moves_by_side(pairings, polytope: Polytope24 | None = None):
     records."""
     moves = {
         label: step[3]
-        for _id, steps, _group in _family_records(pairings, polytope or build_polytope())
+        for _id, steps, _group, _faces in _family_records(pairings, polytope or build_polytope())
         for (_sheet, label), step in steps.items()
     }
     if len(moves) != 24:
@@ -360,11 +361,11 @@ def domain_cycles(domain: Domain, polytope: Polytope24 | None = None):
 @lru_cache(maxsize=None)
 def _local_tables(poly: Polytope24):
     """(family of each side label, family records by value and by identity,
-    tables by kind, interned values), empty until codes fill them.  Sign
-    diagonals keep each family's support, so a ridge cycle depends only on
-    its two families' pairings and an edge-face orbit on its three's.  A
-    table is (families, key of their ids, layout of (position, state or
-    face) items, entries)."""
+    tables by kind, interned values and triple entries), empty until codes
+    fill them.  Sign diagonals keep each family's support, so a ridge cycle
+    depends only on its two families' pairings and an edge-face orbit on its
+    three's.  A table is (families, key of their ids, layout of (position,
+    state or face) items, entries)."""
     family = {s.label: [f for _letters, f in FAMILIES].index(
         tuple(j for j in range(4) if s.center[j])) for s in poly.sides.values()}
 
@@ -388,11 +389,11 @@ def _family_records(pairings, poly):
 
     A family's record is keyed by its exact tuple of pairings (those with a
     source side in the family, in list order), never by digits or letters.
-    It holds (id, steps, pairings): a small id keying table entries, or None
-    when the pairings do not keep the family (their sides are not its four
-    sides, or a move sends a side across families), the one-sheet steps of
-    the pairings, whose moves are read off each word's matrix when the
-    record is made, and the pairings themselves.
+    It holds (id, steps, pairings, faces): a small id keying table entries,
+    or None when the pairings do not keep the family (their sides are not
+    its four sides, or a move sends a side across families), the one-sheet
+    steps, with moves read off each word's matrix, the pairings, and each
+    triple table's local face pairs, made on first use (``_orbit_entry``).
 
     A tuple's hash hashes every matrix, so a record is also keyed by the ids
     of its own pairings (it keeps them alive) at positions 2f, 2f + 1 of 12.
@@ -421,7 +422,7 @@ def _family_records(pairings, poly):
             own = sorted(family[label] for _sheet, label in steps) == [index] * 4
             own = own and not any(b and family[b] != family[a]
                                   for *_, mv in steps.values() for a, b in mv.sides.items())
-            record = records[group] = (len(records) if own else None, steps, group)
+            record = records[group] = (len(records) if own else None, steps, group, {})
         found.append(record)
         if len(pairings) == 12 and (index, *map(id, record[2])) == keys[index]:
             known[keys[index]] = record
@@ -441,10 +442,7 @@ def _assemble(pairings, poly, kind, fill, scan):
         for families, key, layout, entries in tables[kind]:
             entry = entries.get(key(ids))
             if entry is None:
-                steps = {side: step for f in families for side, step in found[f][1].items()}
-                pairs = [p for f in families for p in found[f][2]]
-                entry = fill(steps, pairs, layout, poly, values.setdefault)
-                entry = entries[key(ids)] = values.setdefault(entry, entry)
+                entry = entries[key(ids)] = fill(found, families, layout, poly, values)
             items += entry
     except PoincareViolation:
         # Raise the whole-domain scan's error if it has one (for cycles, the least start's).
@@ -453,12 +451,13 @@ def _assemble(pairings, poly, kind, fill, scan):
     return [value for _pos, value in sorted(items)]  # positions are distinct
 
 
-def _cycle_entry(steps, pairings, starts, poly, intern):
+def _cycle_entry(found, families, starts, poly, values):
     """Each cycle shares its parts with equal traces of other entries, but
     is the entry's own: it keeps its relator's isometry, folded once from
     the entry's pairings, and those pairings (see ``cycle_moebius_word``)."""
-    by_letter = {p.letter: p for p in pairings}
-    entry = []
+    steps = {side: step for f in families for side, step in found[f][1].items()}
+    by_letter = {p.letter: p for f in families for p in found[f][2]}
+    intern, entry = values.setdefault, []
     for pos, (states, nodes, arrows) in _canonical_traces(steps, poly, starts):
         states, nodes = ([(a[1], p[1]) for a, p in pairs] for pairs in (states, nodes))
         parts = (map(frozenset, states), nodes, arrows)
@@ -467,7 +466,7 @@ def _cycle_entry(steps, pairings, starts, poly, intern):
         cycle = RidgeCycle(shared.nodes, shared.arrows, shared.relator, shared.ridges)
         used = [by_letter[sym] for sym in dict.fromkeys(sym for sym, _sign in cycle.relator)]
         if all(p.letter in LETTER_INDEX for p in used):
-            word = word_isometry(cycle.relator, used)
+            word = _fold(cycle.relator, lambda sym: by_letter[sym].word)
             letters = [(LETTER_INDEX[p.letter], p) for p in used]
             cycle.letters = tuple(intern(x, x) for x in letters)
             cycle.isometry = intern(word, word)
@@ -481,23 +480,23 @@ def ridge_cycles(pairings, polytope: Polytope24 | None = None):
     return _assemble(pairings, polytope or build_polytope(), "pairs", _cycle_entry, domain_cycles)
 
 
-def _letter_word(sym, pairings) -> MoebiusWord:
-    """The word of the pairing named ``sym``: at its ``LETTERS`` index among
-    a code's twelve pairings, else (cover pairings) looked up by name."""
-    i = LETTER_INDEX.get(sym, len(pairings))
-    if i < len(pairings) and pairings[i].name == sym:
-        return pairings[i].word
-    return {p.name: p.word for p in pairings}[sym]
-
-
 def word_isometry(word, pairings) -> MoebiusWord:
     """The isometry of a word over pairing names (SidePairing or cover
-    pairings), composed under the left-action convention."""
-    matrices = []
-    for sym, sign in word:
-        w = _letter_word(sym, pairings)
-        matrices.append((w if sign == 1 else letter_inverse(w)).matrix)
-    return MoebiusWord(reduce(lorentz_mul, matrices or [LORENTZ_IDENTITY]))
+    pairings), composed under the left-action convention.  A name's pairing
+    is at its ``LETTERS`` index among a code's twelve, else (cover pairings)
+    looked up by name."""
+    def word_of(sym):
+        i = LETTER_INDEX.get(sym, len(pairings))
+        if i < len(pairings) and pairings[i].name == sym:
+            return pairings[i].word
+        return {p.name: p.word for p in pairings}[sym]
+    return _fold(word, word_of)
+
+
+def _fold(word, word_of) -> MoebiusWord:
+    """The isometry of a word, given the word of each pairing name."""
+    words = [word_of(sym) if sign == 1 else letter_inverse(word_of(sym)) for sym, sign in word]
+    return MoebiusWord(reduce(lorentz_mul, [w.matrix for w in words] or [LORENTZ_IDENTITY]))
 
 
 def cycle_moebius_word(cycle: RidgeCycle, pairings) -> MoebiusWord:
@@ -528,51 +527,67 @@ def domain_orbits(domain: Domain, polytope: Polytope24 | None = None):
     their least member.
     """
     poly = polytope or build_polytope()
-    n, order = len(poly.edge_faces), _face_order(poly)
-    faces = [sheet * n + i for sheet in range(domain.sheets) for i in order]
-    return _orbits(domain.steps, poly, faces)
+    edge, order = poly.edge_faces, _face_order(poly)
+    faces = [(sheet, i) for sheet in range(domain.sheets) for i in order]
+    at = {sheet * len(edge) + i: x for x, (sheet, i) in enumerate(faces)}
+    partition = _partition(len(faces), _face_pairs(domain.steps, at, len(edge)))
+    return _orbits(partition, [(sheet, edge[i].vertices) for sheet, i in faces])
 
 
-def _orbits(steps, poly, faces):
-    """Orbits of the formal faces sheet * 96 + index listed, in that order."""
-    edge = poly.edge_faces
-    n = len(edge)
-    parent = {x: x for x in faces}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # A pairing's step at its target repeats its source step's unions
-    # through the inverse table, so each pairing is unioned once.
+def _face_pairs(steps, at, n):
+    """(position, image's position) of each formal face sheet * n + i placed
+    by ``at``, on each pairing's source side (its target step repeats them)."""
+    pairs = []
     for (sheet, _label), (name, sign, image, mv) in steps.items():
-        if sign == -1:
-            continue
-        for i, j in mv.faces.items():
-            x = sheet * n + i
-            if x not in parent:
-                continue
-            if j is None:
-                raise PoincareViolation(f"pairing {name} maps an edge face off the face lattice")
-            y = image[0] * n + j
-            if y not in parent:
-                raise PoincareViolation(f"pairing {name} maps an edge face out of its families")
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
+        for i, j in mv.faces.items() if sign == 1 else ():
+            if sheet * n + i in at:
+                y = None if j is None else at.get(image[0] * n + j)
+                if y is None:
+                    where = "off the face lattice" if j is None else "out of its families"
+                    raise PoincareViolation(f"pairing {name} maps an edge face {where}")
+                pairs.append((at[sheet * n + i], y))
+    return tuple(pairs)
 
+
+def _partition(size, pairs):
+    """The least position of each position's orbit under the unions of
+    ``pairs``: a root joins the lesser root, so no parent exceeds its child."""
+    parent = list(range(size))
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        parent[x if y < x else y] = y if y < x else x
+    for x in range(size):
+        parent[x] = parent[parent[x]]
+    return tuple(parent)
+
+
+def _orbits(partition, members):
+    """The members of each orbit in position order, by least position."""
     orbits = {}
-    for x in faces:
-        orbits.setdefault(find(x), []).append((x // n, edge[x % n].vertices))
+    for least, member in zip(partition, members):
+        orbits.setdefault(least, []).append(member)
     return [tuple(orbit) for orbit in orbits.values()]
 
 
-def _orbit_entry(steps, _pairings, layout, poly, intern):
-    rank = {poly.edge_faces[i].vertices: pos for pos, i in layout}
-    orbits = _orbits(steps, poly, [i for _pos, i in layout])
-    return tuple((rank[o[0]], intern(o, o)) for o in (tuple(f for _s, f in o) for o in orbits))
+def _orbit_entry(found, families, layout, poly, values):
+    """A triple's orbits: a union over its local positions by the face pairs
+    its records keep for it, one entry per distinct partition."""
+    pairs = ()
+    for f in families:
+        if families not in found[f][3]:
+            at = {i: x for x, (_pos, i) in enumerate(layout)}
+            found[f][3][families] = _face_pairs(found[f][1], at, len(poly.edge_faces))
+        pairs += found[f][3][families]
+    partition = _partition(len(layout), pairs)
+    entry = values.get((families, partition))
+    if entry is None:
+        orbits = _orbits(partition, [(pos, poly.edge_faces[i].vertices) for pos, i in layout])
+        entry = values[families, partition] = tuple(
+            (o[0][0], tuple(face for _pos, face in o)) for o in orbits)
+    return entry
 
 
 def edge_classes(pairings, polytope: Polytope24 | None = None):

@@ -42,6 +42,18 @@ def test_parse_code_errors():
         census.parse_code("14692")
 
 
+@pytest.mark.parametrize("text", ["１４６９２８", "١٤٦٩٢٨", "14692٨"])
+def test_parse_code_reads_ascii_hex_only(text):
+    # int(ch, 16) also reads every Unicode decimal digit (full-width,
+    # Arabic-Indic, ...); a code is ASCII hex or a ParseError.
+    with pytest.raises(ParseError):
+        census.parse_code(text)
+
+
+def test_parse_code_reads_uppercase_hex():
+    assert census.parse_code("EF276C") == census.parse_code("ef276c")
+
+
 def test_pairings_match_published_display(pairings):
     assert len(pairings) == 12
     by_letter = {p.letter: p for p in pairings}

@@ -30,6 +30,19 @@ def test_validate_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("text", ["１４６９２８", "١٤٦٩٢٨"])
+def test_validate_non_ascii_digits_are_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "validate", text)
+    assert code == 2 and out == ""
+    assert "usage error" in err and "hex digits" in err
+
+
+def test_validate_uppercase_hex(capsys):
+    code, out, _ = run(capsys, "validate", "EF276C")
+    assert code == 0
+    assert out == run(capsys, "validate", "ef276c")[1].replace("ef276c", "EF276C")
+
+
 def test_validate_domain_error(capsys):
     code, out, _ = run(capsys, "validate", "046928")
     assert code == 1

@@ -219,6 +219,83 @@ def test_cycles_keep_their_relator_isometries(sample_codes, wide_codes, seeded_c
                         census.word_isometry(c.relator, shifted) for c in kept)
 
 
+def fill_triples(codes, poly):
+    for code in codes:
+        census.edge_classes(census.build_pairings(census.parse_code(code), poly), poly)
+
+
+def test_local_face_pairs_are_made_once_per_record_and_table(sample_codes, monkeypatch):
+    # A triple fill unions the local face pairs its three records keep for
+    # the table; each record makes them on its first fill of the table, for
+    # at most the 4 triple tables holding its family, and never again.
+    poly = Polytope24()
+    family, records, _known, by_kind, _values = census._local_tables(poly)
+    calls, face_pairs = [], census._face_pairs
+
+    def counting(steps, at, n):
+        calls.append((id(steps), frozenset(at)))
+        return face_pairs(steps, at, n)
+
+    monkeypatch.setattr(census, "_face_pairs", counting)
+    fill_triples(sample_codes, poly)
+    made = len(calls)
+    fill_triples(sample_codes, poly)
+    assert len(calls) == made == len(set(calls)) == sum(len(r[3]) for r in records.values())
+    triples = [families for families, *_ in by_kind["triples"]]
+    for group, record in records.items():
+        f = family[group[0].source.label]
+        assert 0 < len(record[3]) <= 4
+        assert set(record[3]) <= {families for families in triples if f in families}
+
+
+def test_triple_entries_are_one_object_per_partition(sample_codes, monkeypatch):
+    # Entries of a triple table with the same orbits are one object, and a
+    # fill builds orbit tuples only for a partition its table has not seen.
+    poly = Polytope24()
+    _family, _records, _known, by_kind, _values = census._local_tables(poly)
+    built, orbits = [], census._orbits
+
+    def counting(partition, members):
+        built.append(partition)
+        return orbits(partition, members)
+
+    monkeypatch.setattr(census, "_orbits", counting)
+    fill_triples(sample_codes, poly)
+    fills = distinct = 0
+    for _families, _key, _layout, entries in by_kind["triples"]:
+        values = list(entries.values())
+        assert len({id(e) for e in values}) == len(set(values))
+        fills, distinct = fills + len(values), distinct + len(set(values))
+    assert len(built) == distinct < fills
+
+
+@pytest.mark.parametrize("image", ["none", "outside"])
+def test_bad_face_image_fails_with_the_whole_domain_message(image):
+    # A move whose face image is None fails as on the whole domain; an image
+    # outside the face's triple is a face of the whole domain, so only the
+    # tables fail, with their own message.  Nothing is kept for the failing
+    # record: a second call fails the same way.
+    poly = Polytope24()
+    pairings = census.build_pairings(census.parse_code("146928"), poly)
+    record = census._family_records(pairings, poly)[0]
+    name, _sign, _target, mv = next(step for step in record[1].values() if step[1] == 1)
+    face = min(mv.faces)
+    _family, _records, _known, by_kind, _values = census._local_tables(poly)
+    others = [i for _f, _key, layout, _e in by_kind["triples"] for _pos, i in layout
+              if face not in {j for _pos, j in layout}]
+    mv.faces[face] = None if image == "none" else others[0]
+    whole = outcome(whole_orbits, pairings, poly)
+    if image == "none":
+        want = ("PoincareViolation", f"pairing {name} maps an edge face off the face lattice")
+        assert whole == want
+    else:
+        want = ("PoincareViolation", f"pairing {name} maps an edge face out of its families")
+        assert isinstance(whole, list)
+    for _call in range(2):
+        assert outcome(table_orbits, pairings, poly) == want
+        assert record[3] == {}
+
+
 @pytest.fixture(scope="module")
 def seeded_codes():
     """500 codes drawn with a fixed seed from all 12^6 parseable codes."""
