@@ -452,17 +452,18 @@ def _assemble(pairings, poly, kind, fill, scan):
 
 
 def _cycle_entry(found, families, starts, poly, values):
-    """Each cycle shares its parts with equal traces of other entries, but
-    is the entry's own: it keeps its relator's isometry, folded once from
-    the entry's pairings, and those pairings (see ``cycle_moebius_word``)."""
+    """Each cycle shares its parts, built once per distinct trace, with equal
+    traces of other entries, but is the entry's own: it keeps its relator's
+    isometry, folded once from the entry's pairings, and those pairings."""
     steps = {side: step for f in families for side, step in found[f][1].items()}
     by_letter = {p.letter: p for f in families for p in found[f][2]}
     intern, entry = values.setdefault, []
     for pos, (states, nodes, arrows) in _canonical_traces(steps, poly, starts):
-        states, nodes = ([(a[1], p[1]) for a, p in pairs] for pairs in (states, nodes))
-        parts = (map(frozenset, states), nodes, arrows)
-        shared = _ridge_cycle(*([intern(x, x) for x in xs] for xs in parts))
-        shared = intern((shared.nodes, shared.arrows), shared)
+        key = (tuple((a[1], p[1]) for a, p in nodes), tuple(arrows))
+        shared = values.get(key)
+        if shared is None:
+            parts = ((frozenset((a[1], p[1])) for a, p in states), *key)
+            shared = values[key] = _ridge_cycle(*([intern(x, x) for x in xs] for xs in parts))
         cycle = RidgeCycle(shared.nodes, shared.arrows, shared.relator, shared.ridges)
         used = [by_letter[sym] for sym in dict.fromkeys(sym for sym, _sign in cycle.relator)]
         if all(p.letter in LETTER_INDEX for p in used):

@@ -4,9 +4,14 @@ Subcommands mirror the pipeline: validate, pairings, cycles, presentation,
 cusps, cover, invariants, kirby, trace.  Each handler returns its exit
 status, its JSON document and its text, both built from the same derived
 data; ``main`` alone picks --format, adds the final newline and writes to
-stdout or --output, so a file holds exactly the bytes stdout would get.
-Under kirby --format svg the text is one SVG panel; kirby --panel all
-writes all four panels plus the JSON document into its --output directory.
+stdout or --output (``-o -`` is stdout), so a file holds exactly the bytes
+stdout would get.  Under kirby --format svg the text is one SVG panel;
+kirby --panel all writes all four panels plus the JSON document into its
+--output directory.
+
+Only cover and invariants take --alpha; kirby --cover and trace glue along
+``cover.default_alpha``, as the layout recipe is defined for g alone.
+invariants --max-cosets bounds the enumeration of the filled stages only.
 
 Exit codes: 0 success, 1 domain error (invalid code, failed condition,
 failed trace step), 2 usage error (bad flags, --max-cosets below 1, an
@@ -225,9 +230,7 @@ def cmd_invariants(args):
 def cmd_kirby(args):
     """Under --format svg the text is the panel's SVG; --panel all writes
     its own report directory and returns no text."""
-    d = kirby.assemble_diagram(
-        args.code, want_cover=args.cover, fill=args.fill, alpha=args.alpha
-    )
+    d = kirby.assemble_diagram(args.code, want_cover=args.cover, fill=args.fill)
     if args.format == "svg":
         if args.panel == "all":
             os.makedirs(args.output, exist_ok=True)
@@ -258,7 +261,7 @@ def cmd_kirby(args):
 
 
 def cmd_trace(args):
-    d = kirby.assemble_diagram(args.code, want_cover=True, fill=True, alpha=args.alpha)
+    d = kirby.assemble_diagram(args.code, want_cover=True, fill=True)
     result = kirby.simplification_trace(d, kirby.SHIPPED_SCRIPTS[args.script])
     counts = result.diagram.counts()
     doc = {
@@ -321,11 +324,9 @@ def build_parser():
     p = add("kirby", cmd_kirby, help="Kirby diagram data and figures")
     p.add_argument("--cover", action="store_true", help="diagram of the double cover")
     p.add_argument("--fill", action="store_true", help="include filling 2-handles")
-    p.add_argument("--alpha")
     p.add_argument("--panel", choices=kirby.PANELS + ("all",), default="xy")
     p = add("trace", cmd_trace, help="replay a shipped cancellation script")
     p.add_argument("--script", required=True, choices=sorted(kirby.SHIPPED_SCRIPTS))
-    p.add_argument("--alpha")
 
     return parser
 
@@ -334,7 +335,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if (args.command == "kirby" and args.format == "svg" and args.panel == "all"
-            and not args.output):
+            and args.output in (None, "-")):
         parser.error("--panel all needs --output DIR")
     try:
         status, doc, text = args.handler(args)

@@ -39,13 +39,12 @@ from .polytope import SIDE_INDEX, build_polytope
 
 
 class CuspClass:
-    __slots__ = ("vertices", "representative", "tree_words", "tree", "tree_edges")
+    __slots__ = ("vertices", "representative", "tree", "tree_edges")
 
-    def __init__(self, vertices, representative, tree_words, tree, tree_edges):
+    def __init__(self, vertices, representative, tree, tree_edges):
         self.vertices = vertices              # class members, descending
         self.representative = representative  # lexicographically greatest member
-        self.tree_words = tree_words  # vertex -> Word carrying it to the representative
-        self.tree = tree              # the same words by vertex index
+        self.tree = tree              # vertex index -> Word carrying it to the representative
         self.tree_edges = tree_edges  # (vertex index, letter, sign) moves used by the tree
 
     def __len__(self):
@@ -94,7 +93,7 @@ def vertex_classes(pairings):
     """Orbit classes of the 24 ideal vertices under the pairing moves.
 
     Vertices are walked by index (``poly.vertices`` descends), so no
-    vertex is hashed until the public ``tree_words`` is built."""
+    vertex is hashed."""
     poly = build_polytope()
     moves = moves_by_side(pairings, poly)
     classes = []
@@ -117,7 +116,6 @@ def vertex_classes(pairings):
             CuspClass(
                 vertices=tuple(poly.vertices[i] for i in sorted(tree)),
                 representative=poly.vertices[start],
-                tree_words={poly.vertices[i]: w for i, w in tree.items()},
                 tree=tree,
                 tree_edges=frozenset(tree_edges),
             )

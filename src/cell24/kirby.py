@@ -328,15 +328,15 @@ def filling_pairs(pairings, for_diagram=False):
     return [(f"fill-{groups.word_str(f.word)}", f.word) for f in fills]
 
 
-def assemble_diagram(code: str, want_cover=False, fill=False, alpha=None):
+def assemble_diagram(code: str, want_cover=False, fill=False):
     """Build the requested diagram for a code, from scratch; the cover is
-    glued along ``alpha``, None meaning ``cover.default_alpha``.
+    glued along ``cover.default_alpha``, g whenever g can be laid out.
 
     The code must give a manifold gluing; as in ``invariant_report``, a
-    letter that cannot glue the cover is reported first."""
+    code with no letter to glue the cover along is reported first."""
     pairings = census.build_pairings(census.parse_code(code))
     eps = census.orientation_character(pairings)
-    dc = cover_mod.build_double_cover(pairings, eps, alpha) if want_cover else None
+    dc = cover_mod.build_double_cover(pairings, eps) if want_cover else None
     census.require_manifold(pairings)
     if not want_cover:
         fills = filling_pairs(pairings) if fill else ()
@@ -379,9 +379,6 @@ class InvariantReport(NamedTuple):
 
 STAGES = ("base", "cover", "filled", "filled_cover", "degree2_of_filled_cover")
 
-# Coset budget of the enumeration on the unfilled (infinite) groups.
-UNFILLED_MAX_COSETS = 3_000
-
 
 def invariant_report(
     stage: str, code: str = "146928", alpha: str | None = None,
@@ -395,8 +392,9 @@ def invariant_report(
     pairings + ridge cycles - edge-face orbits (the ideal vertices add no
     4-handle), and orientability is read off the orientation character;
     boundary filling along flat cusps leaves chi unchanged and the degree-2
-    cover of the filled cover doubles it.  Enumeration on the unfilled
-    (infinite) groups runs with a small budget and reports inconclusive.
+    cover of the filled cover doubles it.  Only the filled stages are
+    enumerated, within ``max_cosets``; the infinite base and cover groups
+    report order None.
     """
     if stage not in STAGES:
         raise KirbyError(f"unknown stage {stage!r}; expected one of {STAGES}")
@@ -410,12 +408,15 @@ def invariant_report(
     base = census.presentation(pairings, cycles)
     orientable = all(e == 1 for e in eps.values())
 
-    def report(pres, chi, budget, orientable, remark):
+    def report(pres, chi, orientable, remark):
         torsion, rank = groups.abelianization(pres)
-        return InvariantReport(
-            stage, chi, torsion, rank, groups.todd_coxeter(pres, budget),
-            orientable=orientable, candidate_remark=remark,
-        )
+        # A manifold code's pairing group tiles H^4 with copies of the
+        # finite-volume 24-cell, so it is infinite, as is the cover's, of
+        # index 2 in it (each cusp also gives a Z^3).  That holds per stage,
+        # whatever H1 is: a9e1d6 has finite H1 on both unfilled stages.
+        filled = stage not in ("base", "cover")
+        order = groups.todd_coxeter(pres, max_cosets) if filled else None
+        return InvariantReport(stage, chi, torsion, rank, order, orientable, remark)
 
     def euler(domain, cycles, orbits):
         # One 2-handle per ridge cycle, one 3-handle per edge-face orbit.
@@ -427,25 +428,24 @@ def invariant_report(
         return [w for _, w in filling_pairs(pairings)]
 
     if stage == "base":
-        return report(base, euler(census.base_domain(pairings), cycles, orbits),
-                      UNFILLED_MAX_COSETS, orientable,
+        return report(base, euler(census.base_domain(pairings), cycles, orbits), orientable,
                       "cusped census manifold; chi = 1 is the census datum")
     if stage == "filled":
-        return report(groups.add_relations(base, fills()), None, max_cosets,
-                      orientable, "closed filling along the five cusp translations")
+        return report(groups.add_relations(base, fills()), None, orientable,
+                      "closed filling along the five cusp translations")
 
     cover_cycles = cover_mod.cover_ridge_cycles(dc)
     cover_pres = cover_mod.cover_presentation(dc, cover_cycles)
     cover_chi = euler(dc.domain, cover_cycles, cover_mod.cover_edge_classes(dc))
     if stage == "cover":
-        return report(cover_pres, cover_chi, UNFILLED_MAX_COSETS, True,
+        return report(cover_pres, cover_chi, True,
                       "orientable double cover; chi doubles to 2")
 
     filled_cover = groups.add_relations(
         cover_pres, cover_mod.lift_filling_words(fills(), dc)
     )
     if stage == "filled_cover":
-        return report(filled_cover, cover_chi, max_cosets, True,
+        return report(filled_cover, cover_chi, True,
                       "filled orientable double cover; filling along flat "
                       "cusps preserves chi")
 
@@ -457,8 +457,7 @@ def invariant_report(
             "filled cover did not simplify to a single order-2 generator"
         )
     x = simplified.generators[0]
-    return report(groups.rs_double_cover(simplified, {x: -1}, x), 2 * cover_chi,
-                  max_cosets, True,
+    return report(groups.rs_double_cover(simplified, {x: -1}, x), 2 * cover_chi, True,
                   "simply connected with chi = 4; the two remaining "
                   "zero-framed 2-handles form the standard diagram of S^2 x S^2 "
                   "(Freedman/Donaldson classification quoted, not re-derived)")

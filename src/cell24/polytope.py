@@ -72,7 +72,6 @@ class Ridge(NamedTuple):
     """Codimension-2 face: intersection of two adjacent sides."""
 
     sides: frozenset  # two side labels
-    vertices: tuple   # the three ideal vertices on it
 
 
 class EdgeFace(NamedTuple):
@@ -118,15 +117,11 @@ class Polytope24:
             for lab in SIDE_ORDER
         }
 
-        ridges = []
-        for la, lb in itertools.combinations(SIDE_ORDER, 2):
-            if lorentz_dot(self.side_vectors[la], self.side_vectors[lb]) == 0:
-                verts = tuple(
-                    self.vertices[i] for i in self.side_vertex_indices[la]
-                    if lb in sides_at[i]
-                )
-                ridges.append(Ridge(frozenset((la, lb)), verts))
-        self.ridges = tuple(ridges)
+        self.ridges = tuple(
+            Ridge(frozenset((la, lb)))
+            for la, lb in itertools.combinations(SIDE_ORDER, 2)
+            if lorentz_dot(self.side_vectors[la], self.side_vectors[lb]) == 0
+        )
 
         faces = []
         for ia, ib in itertools.combinations(range(len(sides_at)), 2):

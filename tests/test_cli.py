@@ -170,6 +170,30 @@ def test_report_directory_needs_output(capsys):
     assert "--panel all needs --output DIR" in capsys.readouterr().err
 
 
+def test_report_directory_on_stdout_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # -o - means stdout everywhere, so --panel all has no directory to write.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["kirby", "146928", "--cover", "--fill", "--format", "svg", "--panel", "all",
+              "-o", "-"])
+    assert exc.value.code == 2
+    assert "--panel all needs --output DIR" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["kirby", "146928", "--cover", "--alpha", "g"],
+    ["trace", "146928", "--script", "m35-cover-fill", "--alpha", "g"],
+])
+def test_alpha_only_on_cover_and_invariants(capsys, argv):
+    # The diagram layout is defined for g alone, which is the default letter
+    # whenever it reverses orientation, so kirby and trace take no --alpha.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha g" in capsys.readouterr().err
+
+
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     missing = tmp_path / "missing" / "x.txt"
     code, out, err = run(capsys, "validate", "146928", "-o", str(missing))

@@ -40,9 +40,11 @@ def test_class_membership(cusp_classes):
 
 
 def test_tree_words_move_vertices(pairings, cusp_classes):
+    poly = build_polytope()
     for cls in cusp_classes:
-        for v, word in cls.tree_words.items():
-            assert oracle.word_point(word, pairings, v) == cls.representative
+        assert sorted(poly.vertices[i] for i in cls.tree) == sorted(cls.vertices)
+        for i, word in cls.tree.items():
+            assert oracle.word_point(word, pairings, poly.vertices[i]) == cls.representative
 
 
 def test_stabilizer_generators_fix_representative(pairings, stabilizers):
@@ -270,8 +272,8 @@ def test_affine_parts_match_point_oracle(sample_codes):
         pairings = census.build_pairings(census.parse_code(code))
         for cls in cusps.vertex_classes(pairings):
             gens = [w for w, _ in cusps.stabilizer_generators(cls, pairings).generators]
-            for v in cls.vertices:
-                tree = cls.tree_words[v]
+            for i in sorted(cls.tree):
+                v, tree = poly.vertices[i], cls.tree[i]
                 words = gens if v == cls.representative else [
                     word_mul(word_inverse(tree), g, tree) for g in gens[:1]
                 ]

@@ -45,12 +45,15 @@ INVOCATIONS = {
     "cusps-ef276c": ["cusps", "ef276c"],
     "cusps-2bec36": ["cusps", "2bec36"],
     "validate-a5e164": ["validate", "a5e164"],
+    "invariants-a9e1d6-base": ["invariants", "a9e1d6", "--stage", "base"],
+    "invariants-a9e1d6-cover": ["invariants", "a9e1d6", "--stage", "cover"],
 }
 JSON_VARIANTS = (
     "validate", "pairings", "cycles", "presentation", "presentation-fill", "cusps",
     "cover", "cover-alpha-e", "invariants", "invariants-base", "invariants-cover",
     "invariants-filled", "invariants-filled_cover", "invariants-degree2_of_filled_cover",
     "kirby", "kirby-fill", "kirby-cover", "kirby-cover-fill", "trace",
+    "invariants-a9e1d6-base", "invariants-a9e1d6-cover",
 )
 for _name in JSON_VARIANTS:
     INVOCATIONS[f"{_name}-json"] = INVOCATIONS[_name] + ["--format", "json"]
@@ -67,6 +70,10 @@ DIGESTS = {
     "cusps-json": "6c6a630e7534a7883ff5d97a859b803ebf7f4e053bbc517bb8e66a5c64642cf4",
     "cycles": "32e404364fb08ec3d927905f769d0ddd4e222837af4879afbf6f8bd5bc6cd63d",
     "cycles-json": "19e48159775b9bd26d25eb3ef7a4d2b27117f4029582fe894c3117fbac64a36c",
+    "invariants-a9e1d6-base": "2d1547a045812d88f3d0eb1857de8ca6c5010d67ae2ae28e847414ec132e88ef",
+    "invariants-a9e1d6-base-json": "6c1e961272dc24cab622e6324bbf5e8a933ae8bfd6009e7eec88968e5b729c47",
+    "invariants-a9e1d6-cover": "8cc1535c59e6488b08ab1b1eceb6a2656acbcdf8943d6d037d1eeae856436220",
+    "invariants-a9e1d6-cover-json": "b355863c89f06da1ad9128dcc2c28adf68bd0520fbdcd09b2ab804e03bf4ba9e",
     "invariants": "4f635a8c037168e5fdbad07754b70abdc44243f76b0b86d87db61a080019b90b",
     "invariants-base": "50f62ca34ff1807993cc53438d7b2a4a9f439836de5562c883170b2e6fb3c0d4",
     "invariants-base-json": "b81e1eb88f35f9984241772eb66d90378a16d300d614719f30fac0a57a9b3ab5",

@@ -239,6 +239,39 @@ def test_invariant_reports():
         kirby.invariant_report("nonsense")
 
 
+def counting_todd_coxeter(monkeypatch):
+    calls, enumerate_ = [], groups.todd_coxeter
+
+    def counting(pres, max_cosets=100_000):
+        calls.append(max_cosets)
+        return enumerate_(pres, max_cosets)
+
+    monkeypatch.setattr(groups, "todd_coxeter", counting)
+    return calls
+
+
+@pytest.mark.parametrize("code", ["146928", "ef276c", "a9e1d6"])
+def test_unfilled_stages_are_not_enumerated(code, monkeypatch):
+    # The base and cover groups are infinite whatever H1 is (a9e1d6 has
+    # finite H1 on both), so their order is None with no enumeration.
+    calls, ranks = counting_todd_coxeter(monkeypatch), []
+    for stage in ("base", "cover"):
+        report = kirby.invariant_report(stage, code, max_cosets=50)
+        assert report.group_order is None
+        assert "group order = inconclusive," in report.render()
+        ranks.append(report.h1_rank)
+    assert calls == []
+    assert (ranks == [0, 0]) == (code == "a9e1d6")
+
+
+def test_filled_stages_enumerate_once_within_max_cosets(monkeypatch):
+    calls = counting_todd_coxeter(monkeypatch)
+    orders = [kirby.invariant_report(stage, max_cosets=5_000).group_order
+              for stage in ("filled", "filled_cover", "degree2_of_filled_cover")]
+    assert orders == [4, 2, 1]
+    assert calls == [5_000] * 3
+
+
 def test_report_render():
     text = kirby.invariant_report("filled").render()
     assert "Z/2 + Z/2" in text

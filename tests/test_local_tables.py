@@ -269,6 +269,37 @@ def test_triple_entries_are_one_object_per_partition(sample_codes, monkeypatch):
     assert len(built) == distinct < fills
 
 
+def test_each_distinct_trace_is_built_once(sample_codes, monkeypatch):
+    # A pair fill looks up a trace's interned (nodes, arrows) before building
+    # its cycle, so the builds are as many as the distinct traces, while
+    # every entry still owns its cycles.
+    passing = []
+    for code in sample_codes:
+        pairings = census.build_pairings(census.parse_code(code))
+        try:
+            census.ridge_cycles(pairings)
+        except census.CensusError:
+            continue
+        passing.append(code)
+    poly = Polytope24()
+    _family, _records, _known, by_kind, _values = census._local_tables(poly)
+    built, ridge_cycle = [], census._ridge_cycle
+
+    def counting(states, nodes, arrows, wall=None):
+        built.append((tuple(nodes), tuple(arrows)))
+        return ridge_cycle(states, nodes, arrows, wall)
+
+    monkeypatch.setattr(census, "_ridge_cycle", counting)
+    cycles = []
+    for code in passing:
+        cycles += census.ridge_cycles(census.build_pairings(census.parse_code(code), poly), poly)
+    entries = [entry for *_, es in by_kind["pairs"] for entry in es.values()]
+    traces = [(c.nodes, c.arrows) for entry in entries for _pos, c in entry]
+    assert len(built) == len(set(built)) == len(set(traces)) < len(traces)
+    assert set(built) == {(c.nodes, c.arrows) for c in cycles}
+    assert len({id(c) for entry in entries for _pos, c in entry}) == len(traces)
+
+
 @pytest.mark.parametrize("image", ["none", "outside"])
 def test_bad_face_image_fails_with_the_whole_domain_message(image):
     # A move whose face image is None fails as on the whole domain; an image
