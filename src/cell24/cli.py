@@ -18,19 +18,47 @@ failed trace step), 2 usage error (bad flags, --max-cosets below 1, an
 unknown trace script, --panel all without an output directory, an --output
 that cannot be written, malformed code text, a gluing letter that is not
 orientation reversing).
+
+The engine modules are registered lazily: each runs the first time one of
+its attributes is read, so a cold process runs only what its subcommand
+uses (kirby only for invariants, kirby and trace).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib.util
 import os
 import sys
 
-from . import census, cover as cover_mod, cusps, groups, kirby
-from .census import CensusError, ParseError
-from .groups import word_str
-from .kirby import KirbyError
+import cell24
+
+# Every submodule but this one, so that any of them can be looked up in
+# sys.modules by name before the engine has run.
+SUBMODULES = (
+    "census", "cover", "cusps", "flat3", "groups", "kirby", "layout", "moebius", "polytope",
+)
+
+
+def _lazy(name):
+    """cell24.<name>, registered so that its code runs the first time one of
+    its attributes is read; a module already imported is returned as is."""
+    full = f"cell24.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(cell24, name, module)
+    return module
+
+
+_modules = {name: _lazy(name) for name in SUBMODULES}
+census, cover_mod, cusps, groups, kirby, layout = (
+    _modules[n] for n in ("census", "cover", "cusps", "groups", "kirby", "layout")
+)
 
 
 def _pairings(code: str):
@@ -125,7 +153,7 @@ def cmd_presentation(args):
     pres = census.presentation(pairings, cycles)
     if args.fill:
         pres = groups.add_relations(
-            pres, [w for _, w in kirby.filling_pairs(pairings)]
+            pres, [w for _, w in cusps.filling_pairs(pairings)]
         )
     return 0, _presentation_doc(pres), pres.render()
 
@@ -146,9 +174,9 @@ def cmd_cusps(args):
             {
                 "representative": [str(x) for x in cls.representative],
                 "size": len(cls),
-                "stabilizer_generators": [word_str(w) for w, _ in stab.generators],
-                "translation": word_str(choice.chosen) if choice.chosen else None,
-                "translation_alternates": [word_str(w) for w in choice.alternates],
+                "stabilizer_generators": [groups.word_str(w) for w, _ in stab.generators],
+                "translation": groups.word_str(choice.chosen) if choice.chosen else None,
+                "translation_alternates": [groups.word_str(w) for w in choice.alternates],
                 "orientable": inv.orientable,
                 "holonomy_order": inv.holonomy_order,
                 "h1": {"torsion": list(inv.h1_torsion), "rank": inv.h1_rank},
@@ -159,12 +187,12 @@ def cmd_cusps(args):
         lines.append(f"  cusp at {rep} ({len(cls)} vertices)")
         lines.append(f"    stabilizer generators: {len(stab.generators)}")
         if choice.chosen:
-            alts = ", ".join(word_str(w) for w in choice.alternates) or "none"
+            alts = ", ".join(groups.word_str(w) for w in choice.alternates) or "none"
             lines.append(
-                f"    shortest translation: {word_str(choice.chosen)} "
+                f"    shortest translation: {groups.word_str(choice.chosen)} "
                 f"(same-length alternates: {alts})"
             )
-        h1 = kirby.h1_text(inv.h1_torsion, inv.h1_rank)
+        h1 = groups.h1_text(inv.h1_torsion, inv.h1_rank)
         lines.append(
             f"    cross-section: orientable={inv.orientable} "
             f"holonomy order {inv.holonomy_order} H1 = {h1} "
@@ -173,7 +201,7 @@ def cmd_cusps(args):
     for alt in alternates:
         rep = "(" + ",".join(str(x) for x in alt.cusp.representative) + ")"
         lines.append(
-            f"  published alternate translation {word_str(alt.word)} for the "
+            f"  published alternate translation {groups.word_str(alt.word)} for the "
             f"cusp at {rep} (valid: fixes a class vertex, pure translation)"
         )
     return 0, doc, "\n".join(lines)
@@ -208,7 +236,7 @@ def cmd_cover(args):
 
 
 def cmd_invariants(args):
-    stages = [args.stage] if args.stage else list(kirby.STAGES)
+    stages = [args.stage] if args.stage else list(layout.STAGES)
     reports = [
         kirby.invariant_report(s, args.code, args.alpha, max_cosets=args.max_cosets)
         for s in stages
@@ -234,11 +262,11 @@ def cmd_kirby(args):
     if args.format == "svg":
         if args.panel == "all":
             os.makedirs(args.output, exist_ok=True)
-            for panel in kirby.PANELS:
+            for panel in layout.PANELS:
                 _write_file(os.path.join(args.output, f"{panel}.svg"), kirby.export_svg(d, panel))
             _write_file(os.path.join(args.output, "diagram.json"), kirby.json_text(d))
             sys.stdout.write(
-                f"wrote {', '.join(p + '.svg' for p in kirby.PANELS)} and "
+                f"wrote {', '.join(p + '.svg' for p in layout.PANELS)} and "
                 f"diagram.json to {args.output}\n"
             )
             return 0, None, None
@@ -254,7 +282,7 @@ def cmd_kirby(args):
         f"killing {sum(1 for h in d.two_handles if h.origin == 'killing')})",
         f"  3-handles: {counts['three_handles']}, 4-handles: {counts['four_handles']}",
     ]
-    for panel in kirby.PANELS:
+    for panel in layout.PANELS:
         count = sum(1 for h in d.two_handles if h.panel == panel)
         lines.append(f"  panel {panel}: {count} 2-handles")
     return 0, kirby.export_json(d), "\n".join(lines)
@@ -262,7 +290,7 @@ def cmd_kirby(args):
 
 def cmd_trace(args):
     d = kirby.assemble_diagram(args.code, want_cover=True, fill=True)
-    result = kirby.simplification_trace(d, kirby.SHIPPED_SCRIPTS[args.script])
+    result = kirby.simplification_trace(d, layout.SHIPPED_SCRIPTS[args.script])
     counts = result.diagram.counts()
     doc = {
         "log": list(result.log),
@@ -318,15 +346,15 @@ def build_parser():
     p = add("cover", cmd_cover, help="orientable double cover pairings and cycles")
     p.add_argument("--alpha", help="orientation-reversing gluing letter (default: from the code)")
     p = add("invariants", cmd_invariants, help="invariant reports per stage")
-    p.add_argument("--stage", choices=kirby.STAGES, default=None)
+    p.add_argument("--stage", choices=layout.STAGES, default=None)
     p.add_argument("--alpha")
     p.add_argument("--max-cosets", type=positive_int, default=100_000)
     p = add("kirby", cmd_kirby, help="Kirby diagram data and figures")
     p.add_argument("--cover", action="store_true", help="diagram of the double cover")
     p.add_argument("--fill", action="store_true", help="include filling 2-handles")
-    p.add_argument("--panel", choices=kirby.PANELS + ("all",), default="xy")
+    p.add_argument("--panel", choices=layout.PANELS + ("all",), default="xy")
     p = add("trace", cmd_trace, help="replay a shipped cancellation script")
-    p.add_argument("--script", required=True, choices=sorted(kirby.SHIPPED_SCRIPTS))
+    p.add_argument("--script", required=True, choices=sorted(layout.SHIPPED_SCRIPTS))
 
     return parser
 
@@ -342,20 +370,22 @@ def main(argv=None) -> int:
         if text is None:  # kirby --panel all wrote its report directory
             return status
         if args.format == "json":
+            import json
+
             text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True)
         if not text.endswith("\n"):
             text += "\n"
         if args.output not in (None, "-"):
             _write_file(args.output, text)
             return status
-    except (ParseError, cover_mod.GluingLetterError) as exc:
+    except (census.ParseError, cover_mod.GluingLetterError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except OSError as exc:
         # The engine opens no files: this is an --output that cannot be written.
         sys.stderr.write(f"usage error: cannot write {exc.filename}: {exc.strerror}\n")
         return 2
-    except (CensusError, KirbyError, groups.GroupError, ValueError) as exc:
+    except (census.CensusError, kirby.KirbyError, groups.GroupError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     sys.stdout.write(text)

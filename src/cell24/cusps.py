@@ -328,6 +328,12 @@ def canonical_fillings(pairings, classes=None, for_diagram=False):
     return out
 
 
+def filling_pairs(pairings, for_diagram=False):
+    """(id, base word) pairs for the published fillings, in class order."""
+    fills = canonical_fillings(pairings, for_diagram=for_diagram)
+    return [(f"fill-{word_str(f.word)}", f.word) for f in fills]
+
+
 def published_alternate_fillings(pairings, classes):
     """Validated published alternates (e.g. j for the cusp filled along i);
     none for a code without published alternates."""

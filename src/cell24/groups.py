@@ -85,6 +85,11 @@ def word_str(word) -> str:
     return "".join(parts)
 
 
+def h1_text(torsion, rank) -> str:
+    """H1 as text: "Z/2 + Z/4 + Z + Z", or "0" for the trivial group."""
+    return " + ".join([f"Z/{t}" for t in torsion] + ["Z"] * rank) or "0"
+
+
 # ---------------------------------------------------------------------------
 # Presentations
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import census, cover as cover_mod, cusps, groups
-from .layout import LAYOUT, MIRROR_X, Z
+# SHIPPED_SCRIPTS is re-exported: the trace tests read kirby.SHIPPED_SCRIPTS.
+from .layout import LAYOUT, MIRROR_X, PANELS, SHIPPED_SCRIPTS, STAGES, Z
 from .polytope import SIDE_INDEX, build_polytope
 
-PANELS = ("xy", "xz", "yz", "off")
 # The coordinate that vanishes on each plane panel.
 PANEL_AXIS = {"xy": 2, "xz": 1, "yz": 0}
 
@@ -259,73 +259,9 @@ def simplification_trace(d: KirbyDiagram, script) -> TraceResult:
     return TraceResult(diagram=d, presentation=diagram_presentation(d), log=tuple(log))
 
 
-def _ridge_sel(sheet, a, b):
-    return {"sheet": sheet, "sides": [a, b]}
-
-
-# The published cancellation order for the filled double cover of the
-# reference code: ridge handles are addressed by a ridge they attach along.
-SHIPPED_SCRIPTS = {
-    "m35-cover-fill": [
-        {"op": "cancel", "one": "g⁻¹g", "two": "killing"},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "a", "two": "fill-a"},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "c", "two": "fill-c"},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "b", "two": _ridge_sel(0, "A", "J")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "g⁻¹bg", "two": _ridge_sel(0, "A", "F")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "g⁻¹ag", "two": _ridge_sel(1, "A", "I")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "d", "two": _ridge_sel(0, "A", "C")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "g⁻¹dg", "two": _ridge_sel(0, "C", "H")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "g⁻¹cg", "two": _ridge_sel(1, "C", "G")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "j", "two": "fill-j"},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "k", "two": "fill-k"},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "l", "two": _ridge_sel(0, "D", "K")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "g⁻¹kg", "two": _ridge_sel(1, "E", "K")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "g⁻¹lg", "two": _ridge_sel(0, "E", "K")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "g⁻¹ig", "two": _ridge_sel(0, "H", "J")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "i", "two": _ridge_sel(0, "I", "K")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "g⁻¹jg", "two": _ridge_sel(1, "H", "J")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "g⁻¹h", "two": _ridge_sel(0, "G", "K")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "hg", "two": _ridge_sel(0, "B", "G")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "gg", "two": _ridge_sel(1, "A", "G")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "fg", "two": _ridge_sel(0, "E", "I")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "g⁻¹f", "two": _ridge_sel(1, "E", "I")},
-        {"op": "delete_trivial"},
-        {"op": "cancel", "one": "eg", "two": _ridge_sel(0, "D", "E")},
-        {"op": "delete_trivial"},
-    ]
-}
-
-
 # ---------------------------------------------------------------------------
 # Pipeline assembly and invariant reports
 # ---------------------------------------------------------------------------
-
-
-def filling_pairs(pairings, for_diagram=False):
-    """(id, base word) pairs for the published fillings, in class order."""
-    fills = cusps.canonical_fillings(pairings, for_diagram=for_diagram)
-    return [(f"fill-{groups.word_str(f.word)}", f.word) for f in fills]
 
 
 def assemble_diagram(code: str, want_cover=False, fill=False):
@@ -339,22 +275,17 @@ def assemble_diagram(code: str, want_cover=False, fill=False):
     dc = cover_mod.build_double_cover(pairings, eps) if want_cover else None
     census.require_manifold(pairings)
     if not want_cover:
-        fills = filling_pairs(pairings) if fill else ()
+        fills = cusps.filling_pairs(pairings) if fill else ()
         domain = census.base_domain(pairings)
         return build_diagram("base", domain, lambda side: LAYOUT[side[1]], fills)
     fills = ()
     if fill:
-        base = filling_pairs(pairings, for_diagram=True)
+        base = cusps.filling_pairs(pairings, for_diagram=True)
         lifted = cover_mod.lift_filling_words([w for _, w in base], dc)
         fills = [(fid, lw) for (fid, _), lw in zip(base, lifted)]
     return build_diagram(
         "cover", dc.domain, lambda side: cover_mod.cover_layout(side, dc), fills
     )
-
-
-def h1_text(torsion, rank) -> str:
-    """H1 as text: "Z/2 + Z/4 + Z + Z", or "0" for the trivial group."""
-    return " + ".join([f"Z/{t}" for t in torsion] + ["Z"] * rank) or "0"
 
 
 class InvariantReport(NamedTuple):
@@ -368,16 +299,13 @@ class InvariantReport(NamedTuple):
 
     def render(self) -> str:
         chi = "n/a" if self.euler_characteristic is None else self.euler_characteristic
-        h1 = h1_text(self.h1_torsion, self.h1_rank)
+        h1 = groups.h1_text(self.h1_torsion, self.h1_rank)
         order = "inconclusive" if self.group_order is None else self.group_order
         return (
             f"stage {self.stage}: chi = {chi}, H1 = {h1}, "
             f"group order = {order}, orientable = {self.orientable}\n"
             f"  {self.candidate_remark}"
         )
-
-
-STAGES = ("base", "cover", "filled", "filled_cover", "degree2_of_filled_cover")
 
 
 def invariant_report(
@@ -425,7 +353,7 @@ def invariant_report(
     def fills():
         # Published filling words exist only for the reference code, so
         # they are read only at the filled stages.
-        return [w for _, w in filling_pairs(pairings)]
+        return [w for _, w in cusps.filling_pairs(pairings)]
 
     if stage == "base":
         return report(base, euler(census.base_domain(pairings), cycles, orbits), orientable,
