@@ -34,6 +34,10 @@ class ParseError(CensusError):
     """Malformed code text (not six hex digits)."""
 
 
+class GluingLetterError(ValueError):
+    """A gluing letter that is not an orientation-reversing letter of the code."""
+
+
 class InvalidCode(CensusError):
     """Well-formed code that violates a side-pairing condition."""
 

@@ -3,14 +3,15 @@
 Subcommands mirror the pipeline: validate, pairings, cycles, presentation,
 cusps, cover, invariants, kirby, trace.  Each handler returns its exit
 status, its JSON document and its text, both built from the same derived
-data; ``main`` alone picks --format, adds the final newline and writes to
-stdout or --output (``-o -`` is stdout), so a file holds exactly the bytes
-stdout would get.  Under kirby --format svg the text is one SVG panel;
-kirby --panel all writes all four panels plus the JSON document into its
---output directory.
+data (one ``stages.CodeStages`` per call); ``main`` alone picks --format,
+adds the final newline and writes to stdout or --output (``-o -`` is
+stdout), so a file holds exactly the bytes stdout would get.  Under kirby
+--format svg the text is one SVG panel; kirby --panel all writes all four
+panels plus the JSON document into its --output directory.
 
-Only cover and invariants take --alpha; kirby --cover and trace glue along
-``cover.default_alpha``, as the layout recipe is defined for g alone.
+Only cover and invariants take --alpha, and invariants checks it on every
+stage, base and filled too; kirby --cover and trace glue along the default
+of ``cover.gluing_letter``, as the layout recipe is defined for g alone.
 invariants --max-cosets bounds the enumeration of the filled stages only.
 
 Exit codes: 0 success, 1 domain error (invalid code, failed condition,
@@ -35,9 +36,8 @@ import cell24
 
 # Every submodule but this one, so that any of them can be looked up in
 # sys.modules by name before the engine has run.
-SUBMODULES = (
-    "census", "cover", "cusps", "flat3", "groups", "kirby", "layout", "moebius", "polytope",
-)
+SUBMODULES = ("census", "cover", "cusps", "flat3", "groups", "kirby", "layout", "moebius",
+              "polytope", "stages")
 
 
 def _lazy(name):
@@ -56,13 +56,9 @@ def _lazy(name):
 
 
 _modules = {name: _lazy(name) for name in SUBMODULES}
-census, cover_mod, cusps, groups, kirby, layout = (
-    _modules[n] for n in ("census", "cover", "cusps", "groups", "kirby", "layout")
+census, cusps, groups, kirby, layout, stages = (
+    _modules[n] for n in ("census", "cusps", "groups", "kirby", "layout", "stages")
 )
-
-
-def _pairings(code: str):
-    return census.build_pairings(census.parse_code(code))
 
 
 def _word_json(word):
@@ -120,11 +116,11 @@ def cmd_validate(args):
 
 
 def cmd_pairings(args):
-    pairings = _pairings(args.code)
-    eps = census.orientation_character(pairings)
+    code = stages.CodeStages(args.code)
+    eps = code.eps
     doc = []
     lines = [f"side pairings for code {args.code}"]
-    for p in pairings:
+    for p in code.pairings:
         doc.append(
             {
                 "letter": p.letter,
@@ -141,32 +137,27 @@ def cmd_pairings(args):
 
 
 def cmd_cycles(args):
-    cycles = census.ridge_cycles(_pairings(args.code))
+    cycles = census.ridge_cycles(stages.CodeStages(args.code).pairings)
     entries, rows = _cycle_listing(cycles, str)
     title = f"{len(cycles)} ridge cycles for code {args.code}"
     return 0, entries, "\n".join([title] + rows)
 
 
 def cmd_presentation(args):
-    pairings = _pairings(args.code)
-    cycles, _orbits = census.require_manifold(pairings)
-    pres = census.presentation(pairings, cycles)
+    code = stages.CodeStages(args.code)
+    pres = census.presentation(code.pairings, code.manifold[0])
     if args.fill:
-        pres = groups.add_relations(
-            pres, [w for _, w in cusps.filling_pairs(pairings)]
-        )
+        pres = groups.add_relations(pres, code.fillings)
     return 0, _presentation_doc(pres), pres.render()
 
 
 def cmd_cusps(args):
-    pairings = _pairings(args.code)
-    census.require_manifold(pairings)
-    eps = census.orientation_character(pairings)
-    classes = cusps.vertex_classes(pairings)
-    stabs = [cusps.stabilizer_generators(c, pairings) for c in classes]
+    code = stages.CodeStages(args.code)
+    classes = code.classes
+    stabs = [cusps.stabilizer_generators(c, code.pairings) for c in classes]
     choices = cusps.find_filling_translations(stabs)
-    invariants = [cusps.cusp_invariants(s, eps) for s in stabs]
-    alternates = cusps.published_alternate_fillings(pairings, classes)
+    invariants = [cusps.cusp_invariants(s, code.eps) for s in stabs]
+    alternates = cusps.published_alternate_fillings(code.pairings, classes)
     doc = []
     lines = [f"{len(classes)} cusps for code {args.code}"]
     for cls, stab, choice, inv in zip(classes, stabs, choices, invariants):
@@ -208,11 +199,8 @@ def cmd_cusps(args):
 
 
 def cmd_cover(args):
-    pairings = _pairings(args.code)
-    eps = census.orientation_character(pairings)
-    dc = cover_mod.build_double_cover(pairings, eps, args.alpha)
-    census.require_manifold(pairings)
-    cycles = cover_mod.cover_ridge_cycles(dc)
+    code = stages.CodeStages(args.code, args.alpha)
+    dc, cycles = code.cover, code.cover_cycles
     entries, rows = _cycle_listing(cycles, census.side_name)
     doc = {
         "alpha": dc.alpha,
@@ -236,11 +224,9 @@ def cmd_cover(args):
 
 
 def cmd_invariants(args):
-    stages = [args.stage] if args.stage else list(layout.STAGES)
-    reports = [
-        kirby.invariant_report(s, args.code, args.alpha, max_cosets=args.max_cosets)
-        for s in stages
-    ]
+    code = stages.CodeStages(args.code, args.alpha)
+    reports = [kirby.invariant_report(s, code, max_cosets=args.max_cosets)
+               for s in ([args.stage] if args.stage else layout.STAGES)]
     doc = [
         {
             "stage": r.stage,
@@ -378,14 +364,14 @@ def main(argv=None) -> int:
         if args.output not in (None, "-"):
             _write_file(args.output, text)
             return status
-    except (census.ParseError, cover_mod.GluingLetterError) as exc:
+    except (census.ParseError, census.GluingLetterError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except OSError as exc:
         # The engine opens no files: this is an --output that cannot be written.
         sys.stderr.write(f"usage error: cannot write {exc.filename}: {exc.strerror}\n")
         return 2
-    except (census.CensusError, kirby.KirbyError, groups.GroupError, ValueError) as exc:
+    except (census.CensusError, groups.GroupError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     sys.stdout.write(text)

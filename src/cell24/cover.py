@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import census, groups
-from .census import LETTERS, eps_of_word, word_isometry
+from .census import LETTERS, GluingLetterError, eps_of_word, word_isometry
 from .groups import double_cover_generator_names, word_inverse, word_mul
 from .layout import LAYOUT, reflect_x
 from .moebius import MoebiusWord
@@ -58,27 +58,22 @@ class DoubleCover(NamedTuple):
         return next(p for p in self.pairings if p.rule == "wall")
 
 
-class GluingLetterError(ValueError):
-    """The requested gluing letter is not an orientation-reversing pairing
-    letter of the code."""
-
-
-def default_alpha(eps) -> str:
-    """The default gluing letter: g when it reverses orientation (the
-    letter the layout recipe is defined for), else the first reversing
-    letter in a..l."""
-    for letter in ("g",) + LETTERS:
-        if eps.get(letter) == -1:
-            return letter
-    raise GluingLetterError(
-        "the code has no orientation-reversing letter to glue the double "
-        "cover along"
-    )
+def gluing_letter(eps, alpha: str | None = None) -> str:
+    """``alpha``, checked to reverse orientation.  None means the default:
+    g when it reverses orientation (the letter the layout recipe is defined
+    for), else the first reversing letter in a..l."""
+    if alpha is None:
+        alpha = next((x for x in ("g",) + LETTERS if eps.get(x) == -1), None)
+        if alpha is None:
+            raise GluingLetterError("the code has no orientation-reversing letter to "
+                                    "glue the double cover along")
+    elif eps.get(alpha) != -1:
+        raise GluingLetterError(f"the gluing letter must be orientation reversing, got {alpha!r}")
+    return alpha
 
 
 def build_double_cover(pairings, eps, alpha: str | None = None) -> DoubleCover:
-    """The doubled domain glued along ``alpha``; None means
-    ``default_alpha(eps)``.
+    """The doubled domain glued along ``gluing_letter(eps, alpha)``.
 
     Sheet s is the copy T(s)^-1 P with transversal T = (1, alpha).  The lift
     of a base letter x leaving sheet s lands on sheet s' = s xor [x reverses
@@ -87,12 +82,7 @@ def build_double_cover(pairings, eps, alpha: str | None = None) -> DoubleCover:
     generator names.  The lift of alpha leaving sheet 0 is the degenerate
     wall alpha^-1 alpha.
     """
-    if alpha is None:
-        alpha = default_alpha(eps)
-    if eps.get(alpha) != -1:
-        raise GluingLetterError(
-            f"the gluing letter must be orientation reversing, got {alpha!r}"
-        )
+    alpha = gluing_letter(eps, alpha)
     names = double_cover_generator_names(tuple(p.letter for p in pairings), eps, alpha)
     wall = f"{alpha}⁻¹{alpha}"
     transversal = ((), ((alpha, 1),))
@@ -137,11 +127,6 @@ def cover_presentation(cover: DoubleCover, cycles) -> "groups.Presentation":
         generators=groups.double_cover_generators(cover.names),
         relators=tuple(c.relator for c in cycles),
     )
-
-
-def cover_edge_classes(cover: DoubleCover):
-    """Orbits of the 192 formal codimension-3 faces (the cover 3-handles)."""
-    return census.domain_orbits(cover.domain)
 
 
 def lift_filling_words(base_words, cover: DoubleCover):

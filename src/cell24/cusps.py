@@ -304,7 +304,7 @@ def _code_of(pairings) -> str:
     return print_code([p.kpart for p in pairings[::2]])
 
 
-def canonical_fillings(pairings, classes=None, for_diagram=False):
+def canonical_fillings(pairings, classes, for_diagram=False):
     """The published filling words, validated against this code's classes.
 
     Only the reference code has published fillings; any other code raises
@@ -314,8 +314,6 @@ def canonical_fillings(pairings, classes=None, for_diagram=False):
     if code not in tables:
         raise NoPublishedData(f"no published filling words for code {code}")
     table = tables[code]
-    if classes is None:
-        classes = vertex_classes(pairings)
     out = []
     for cls in classes:
         if cls.representative not in table:
@@ -326,12 +324,6 @@ def canonical_fillings(pairings, classes=None, for_diagram=False):
             _validated_filling(cls, table[cls.representative], pairings, "filling word")
         )
     return out
-
-
-def filling_pairs(pairings, for_diagram=False):
-    """(id, base word) pairs for the published fillings, in class order."""
-    fills = canonical_fillings(pairings, for_diagram=for_diagram)
-    return [(f"fill-{word_str(f.word)}", f.word) for f in fills]
 
 
 def published_alternate_fillings(pairings, classes):

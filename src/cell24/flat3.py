@@ -32,8 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .groups import smith_normal_form
-
-I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+from .moebius import I3
 
 
 def mat_mul(a, b):

@@ -18,7 +18,7 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import census, cover as cover_mod, cusps, groups
+from . import census, cover as cover_mod, cusps, groups, stages
 # SHIPPED_SCRIPTS is re-exported: the trace tests read kirby.SHIPPED_SCRIPTS.
 from .layout import LAYOUT, MIRROR_X, PANELS, SHIPPED_SCRIPTS, STAGES, Z
 from .polytope import SIDE_INDEX, build_polytope
@@ -27,8 +27,8 @@ from .polytope import SIDE_INDEX, build_polytope
 PANEL_AXIS = {"xy": 2, "xz": 1, "yz": 0}
 
 
-class KirbyError(Exception):
-    pass
+class KirbyError(census.CensusError):
+    """A CensusError, so that ``cli.main`` catches it without running kirby."""
 
 
 class NotCancellable(KirbyError):
@@ -265,27 +265,21 @@ def simplification_trace(d: KirbyDiagram, script) -> TraceResult:
 
 
 def assemble_diagram(code: str, want_cover=False, fill=False):
-    """Build the requested diagram for a code, from scratch; the cover is
-    glued along ``cover.default_alpha``, g whenever g can be laid out.
-
-    The code must give a manifold gluing; as in ``invariant_report``, a
-    code with no letter to glue the cover along is reported first."""
-    pairings = census.build_pairings(census.parse_code(code))
-    eps = census.orientation_character(pairings)
-    dc = cover_mod.build_double_cover(pairings, eps) if want_cover else None
-    census.require_manifold(pairings)
+    """Build the requested diagram for a code; the cover is glued along
+    ``cover.gluing_letter``'s default, g whenever g can be laid out.  The
+    code must give a manifold gluing."""
+    code = stages.CodeStages(code)
     if not want_cover:
-        fills = cusps.filling_pairs(pairings) if fill else ()
-        domain = census.base_domain(pairings)
-        return build_diagram("base", domain, lambda side: LAYOUT[side[1]], fills)
-    fills = ()
+        code.manifold  # the gluing checks; ``code.cover`` makes them too
+        fills = [(f"fill-{groups.word_str(w)}", w) for w in code.fillings] if fill else ()
+        return build_diagram("base", census.base_domain(code.pairings),
+                             lambda side: LAYOUT[side[1]], fills)
+    dc, fills = code.cover, ()
     if fill:
-        base = cusps.filling_pairs(pairings, for_diagram=True)
-        lifted = cover_mod.lift_filling_words([w for _, w in base], dc)
-        fills = [(fid, lw) for (fid, _), lw in zip(base, lifted)]
-    return build_diagram(
-        "cover", dc.domain, lambda side: cover_mod.cover_layout(side, dc), fills
-    )
+        words = [f.word for f in cusps.canonical_fillings(code.pairings, code.classes, True)]
+        lifted = cover_mod.lift_filling_words(words, dc)
+        fills = [(f"fill-{groups.word_str(w)}", lw) for w, lw in zip(words, lifted)]
+    return build_diagram("cover", dc.domain, lambda side: cover_mod.cover_layout(side, dc), fills)
 
 
 class InvariantReport(NamedTuple):
@@ -308,12 +302,24 @@ class InvariantReport(NamedTuple):
         )
 
 
+REMARKS = {
+    "base": "cusped census manifold; chi = 1 is the census datum",
+    "filled": "closed filling along the five cusp translations",
+    "cover": "orientable double cover; chi doubles to 2",
+    "filled_cover": "filled orientable double cover; filling along flat cusps preserves chi",
+    "degree2_of_filled_cover": "simply connected with chi = 4; the two remaining zero-framed "
+    "2-handles form the standard diagram of S^2 x S^2 (Freedman/Donaldson classification "
+    "quoted, not re-derived)",
+}
+
+
 def invariant_report(
-    stage: str, code: str = "146928", alpha: str | None = None,
-    max_cosets: int = 100_000,
+    stage: str, code="146928", alpha: str | None = None, max_cosets: int = 100_000,
 ) -> InvariantReport:
-    """Algebraic invariants at each stage of the construction; the cover is
-    glued along ``alpha``, None meaning ``cover.default_alpha``.
+    """Algebraic invariants at each stage of the construction.  ``code`` is
+    code text, whose cover is glued along ``alpha`` (None meaning
+    ``cover.gluing_letter``'s default), or a ``stages.CodeStages``, which
+    carries its own letter and keeps what one stage builds for the next.
 
     The code must give a manifold gluing.  The Euler characteristic of the
     base and of the cover is counted on the engine's domain, sheets -
@@ -326,69 +332,40 @@ def invariant_report(
     """
     if stage not in STAGES:
         raise KirbyError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    pairings = census.build_pairings(census.parse_code(code))
-    eps = census.orientation_character(pairings)
-    # A letter that cannot glue the cover is a usage error, reported before
-    # the gluing checks.
-    covered = stage not in ("base", "filled")
-    dc = cover_mod.build_double_cover(pairings, eps, alpha) if covered else None
-    cycles, orbits = census.require_manifold(pairings)
-    base = census.presentation(pairings, cycles)
-    orientable = all(e == 1 for e in eps.values())
-
-    def report(pres, chi, orientable, remark):
-        torsion, rank = groups.abelianization(pres)
-        # A manifold code's pairing group tiles H^4 with copies of the
-        # finite-volume 24-cell, so it is infinite, as is the cover's, of
-        # index 2 in it (each cusp also gives a Z^3).  That holds per stage,
-        # whatever H1 is: a9e1d6 has finite H1 on both unfilled stages.
-        filled = stage not in ("base", "cover")
-        order = groups.todd_coxeter(pres, max_cosets) if filled else None
-        return InvariantReport(stage, chi, torsion, rank, order, orientable, remark)
-
-    def euler(domain, cycles, orbits):
-        # One 2-handle per ridge cycle, one 3-handle per edge-face orbit.
-        return domain.sheets - len(domain.pairs) + len(cycles) - len(orbits)
-
-    def fills():
-        # Published filling words exist only for the reference code, so
-        # they are read only at the filled stages.
-        return [w for _, w in cusps.filling_pairs(pairings)]
-
-    if stage == "base":
-        return report(base, euler(census.base_domain(pairings), cycles, orbits), orientable,
-                      "cusped census manifold; chi = 1 is the census datum")
+    if not isinstance(code, stages.CodeStages):
+        code = stages.CodeStages(code, alpha)
+    if stage in ("base", "filled"):
+        cycles, orbits = code.manifold
+        domain, orientable = census.base_domain(code.pairings), -1 not in code.eps.values()
+        pres = census.presentation(code.pairings, cycles)
+    else:
+        dc = code.cover
+        domain, cycles, orbits, orientable = dc.domain, code.cover_cycles, code.cover_orbits, True
+        pres = cover_mod.cover_presentation(dc, cycles)
+    # One 2-handle per ridge cycle, one 3-handle per edge-face orbit.
+    chi = domain.sheets - len(domain.pairs) + len(cycles) - len(orbits)
+    # Published filling words exist only for the reference code, so they are
+    # read only at the filled stages.
+    filled = stage not in ("base", "cover")
     if stage == "filled":
-        return report(groups.add_relations(base, fills()), None, orientable,
-                      "closed filling along the five cusp translations")
-
-    cover_cycles = cover_mod.cover_ridge_cycles(dc)
-    cover_pres = cover_mod.cover_presentation(dc, cover_cycles)
-    cover_chi = euler(dc.domain, cover_cycles, cover_mod.cover_edge_classes(dc))
-    if stage == "cover":
-        return report(cover_pres, cover_chi, True,
-                      "orientable double cover; chi doubles to 2")
-
-    filled_cover = groups.add_relations(
-        cover_pres, cover_mod.lift_filling_words(fills(), dc)
-    )
-    if stage == "filled_cover":
-        return report(filled_cover, cover_chi, True,
-                      "filled orientable double cover; filling along flat "
-                      "cusps preserves chi")
-
-    # Degree-2 cover of the filled cover, handled algebraically: simplify to
-    # a single generator of order two, then rewrite its kernel.
-    simplified = groups.tietze_simplify(filled_cover)
-    if len(simplified.generators) != 1 or groups.abelianization(simplified) != ((2,), 0):
-        raise KirbyError(
-            "filled cover did not simplify to a single order-2 generator"
-        )
-    x = simplified.generators[0]
-    return report(groups.rs_double_cover(simplified, {x: -1}, x), 2 * cover_chi, True,
-                  "simply connected with chi = 4; the two remaining "
-                  "zero-framed 2-handles form the standard diagram of S^2 x S^2 "
-                  "(Freedman/Donaldson classification quoted, not re-derived)")
+        pres, chi = groups.add_relations(pres, code.fillings), None
+    elif filled:
+        pres = groups.add_relations(pres, cover_mod.lift_filling_words(code.fillings, dc))
+    if stage == "degree2_of_filled_cover":
+        # Degree-2 cover of the filled cover, handled algebraically: simplify
+        # to a single generator of order two, then rewrite its kernel.
+        simplified = groups.tietze_simplify(pres)
+        if len(simplified.generators) != 1 or groups.abelianization(simplified) != ((2,), 0):
+            raise KirbyError("filled cover did not simplify to a single order-2 generator")
+        x = simplified.generators[0]
+        pres, chi = groups.rs_double_cover(simplified, {x: -1}, x), 2 * chi
+    torsion, rank = groups.abelianization(pres)
+    # A manifold code's pairing group tiles H^4 with copies of the
+    # finite-volume 24-cell, so it is infinite, as is the cover's, of index 2
+    # in it (each cusp also gives a Z^3).  That holds per stage, whatever H1
+    # is: a9e1d6 has finite H1 on both unfilled stages.
+    order = groups.todd_coxeter(pres, max_cosets) if filled else None
+    return InvariantReport(stage, chi, torsion, rank, order, orientable, REMARKS[stage])
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .flat3 import I3
-
+I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 LORENTZ_FORM = (1, 1, 1, 1, -1)  # the diagonal of J
 LORENTZ_IDENTITY = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 

@@ -303,7 +303,7 @@ def _check_covers(pairings, eps, cycles, orbits):
         assert lifted == {c.ridges: 2 for c in cycles}
         lifted = Counter(
             frozenset(face for _sheet, face in orbit)
-            for orbit in cover.cover_edge_classes(dc)
+            for orbit in census.domain_orbits(dc.domain)
         )
         assert lifted == {frozenset(orbit): 2 for orbit in orbits}
         for c in cover_cycles:

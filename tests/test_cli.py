@@ -273,7 +273,9 @@ def test_cusps_builds_each_cusp_group_once(capsys, monkeypatch):
 
 def test_cover_builds_its_generator_names_once(capsys, monkeypatch):
     # The Reidemeister-Schreier name table is built once per double cover
-    # (kept on DoubleCover.names) and once per rewritten presentation.
+    # (kept on DoubleCover.names) and once per rewritten presentation: an
+    # invariants call builds one cover for its five stages and rewrites the
+    # filled cover's presentation once.
     calls = []
     original = groups.double_cover_generator_names
     for module in (groups, cover):
@@ -281,10 +283,28 @@ def test_cover_builds_its_generator_names_once(capsys, monkeypatch):
             module, "double_cover_generator_names", lambda *a: calls.append(a) or original(*a)
         )
     assert run(capsys, "invariants", "146928")[0] == 0
-    assert len(calls) == 4
+    assert len(calls) == 2
     calls.clear()
     assert run(capsys, "kirby", "146928", "--cover", "--fill")[0] == 0
     assert len(calls) == 1
+
+
+def test_invariants_build_each_shared_stage_once(capsys, monkeypatch):
+    # The five stages of one invariants call read the pairings, the gluing
+    # checks, the cusp classes, the published fillings and the double cover
+    # with its cycles off one per-code object.
+    calls = Counter()
+    for module, name in ((census, "build_pairings"), (census, "require_manifold"),
+                         (cusps, "vertex_classes"), (cusps, "canonical_fillings"),
+                         (cover, "build_double_cover"), (cover, "cover_ridge_cycles")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _f=original, _n=name, **k: calls.update([_n]) or _f(*a, **k)
+        )
+    assert run(capsys, "invariants", "146928")[0] == 0
+    assert calls == dict.fromkeys(
+        ("build_pairings", "require_manifold", "vertex_classes", "canonical_fillings",
+         "build_double_cover", "cover_ridge_cycles"), 1)
 
 
 def test_cusp_geometry_error_is_a_domain_error(capsys, monkeypatch):
@@ -303,6 +323,17 @@ def test_cover_non_reversing_alpha_is_a_usage_error(capsys):
     assert code == 2
     assert err.startswith("usage error: the gluing letter must be orientation reversing")
     assert run(capsys, "cover", "146928", "--alpha", "z")[0] == 2
+
+
+@pytest.mark.parametrize("stage", ["base", "filled", "cover", None])
+@pytest.mark.parametrize("alpha", ["a", "z"])
+def test_every_stage_rejects_a_non_reversing_alpha(capsys, stage, alpha):
+    # A given letter is checked once per code, so the stages that never
+    # read the cover reject it too.
+    argv = ["invariants", "146928", "--alpha", alpha] + (["--stage", stage] if stage else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: the gluing letter must be orientation reversing, got {alpha!r}\n"
 
 
 def test_cusps_names_failed_gluing_condition(capsys):

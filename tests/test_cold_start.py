@@ -46,17 +46,18 @@ RAN_PROBE = (
     "       if n.startswith('cell24.') and type(m) is types.ModuleType]\n"
     "print(json.dumps([status, ran]))\n"
 )
-GLUING = {"census", "cli", "flat3", "groups", "layout", "moebius", "polytope"}
-HEAVY = {"cover", "cusps", "kirby"}
+PAIRINGS = {"census", "cli", "layout", "moebius", "polytope"}
+GLUING = PAIRINGS | {"groups"}
+HEAVY = {"cover", "cusps", "kirby", "stages"}
 
 
 @pytest.mark.parametrize("argv, ran", [
     (["validate", REF], GLUING),
-    (["pairings", REF], GLUING),
-    (["cycles", REF], GLUING),
-    (["presentation", REF, "--fill"], GLUING | {"cusps"}),
-    (["cusps", REF], GLUING | {"cusps"}),
-    (["cover", REF], GLUING | {"cover"}),
+    (["pairings", REF], PAIRINGS | {"stages"}),
+    (["cycles", REF], GLUING | {"stages"}),
+    (["presentation", REF, "--fill"], GLUING | {"cusps", "stages"}),
+    (["cusps", REF], GLUING | {"cusps", "flat3", "stages"}),
+    (["cover", REF], GLUING | {"cover", "stages"}),
     (["invariants", REF], GLUING | HEAVY),
     (["kirby", REF, "--cover", "--fill", "--format", "json"], GLUING | HEAVY),
     (["trace", REF, "--script", "m35-cover-fill"], GLUING | HEAVY),
@@ -92,8 +93,8 @@ def test_fresh_process_report_directory_is_unchanged(tmp_path):
     assert written == REPORT_DIGESTS
 
 
-# The except clauses of ``main`` read their exception classes off lazily
-# registered modules, so an error exit runs modules the command did not.
+# The except clauses of ``main`` name only census and groups classes, so an
+# error exit runs no module but groups that its command did not.
 @pytest.mark.parametrize("argv, status, prefix", [
     (["validate", "ZZZ"], 2, "usage error: code must be"),
     (["cover", REF, "--alpha", "a"], 2, "usage error: the gluing letter"),
@@ -110,6 +111,13 @@ def test_fresh_process_errors(argv, status, prefix):
     assert proc.returncode == status
     assert proc.stderr.decode().startswith(prefix)
     assert b"Traceback" not in proc.stderr
+
+
+def test_error_exit_runs_no_module_the_command_did_not():
+    # cusps 112124 fails the gluing checks before any cusp work.
+    proc = python("-c", RAN_PROBE, "cusps", "112124")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [1, sorted(GLUING | {"stages"})]
 
 
 TRACER_PROBE = (

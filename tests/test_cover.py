@@ -190,7 +190,7 @@ def test_base_layout_table_matches_published():
 def test_cover_edge_classes(double_cover):
     from cell24.polytope import build_polytope
 
-    orbits = cover.cover_edge_classes(double_cover)
+    orbits = census.domain_orbits(double_cover.domain)
     assert len(orbits) == 24
     assert sum(len(o) for o in orbits) == 192
     # Every orbit is closed under the cover pairing words, acting on the
