@@ -11,7 +11,8 @@ regression test enforces it.
 Ridge cycles (2-handles) and edge-face orbits (3-handles) come from one
 engine over the step table of a sheeted domain (``Domain``): one-sheet steps
 fill a code's family pair and triple tables, and cover builds the two-sheet
-double cover.
+double cover.  Every domain's come in one form, over formal sides (sheet,
+label) and faces (sheet, vertex pair).
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ class RidgeCycle:
     carried along from the start), arrows[i] the signed pairing applied
     there; the relator is the arrows composed under the left-action
     convention (last arrow leftmost), without the wall pairing.  Sides are
-    labels on the code's polytope and (sheet, label) on a sheeted domain.
+    formal sides (sheet, label), on sheet 0 for the code's own cycles.
     """
 
     __slots__ = ("nodes", "arrows", "relator", "ridges", "letters", "isometry")
@@ -463,10 +464,10 @@ def _cycle_entry(found, families, starts, poly, values):
     by_letter = {p.letter: p for f in families for p in found[f][2]}
     intern, entry = values.setdefault, []
     for pos, (states, nodes, arrows) in _canonical_traces(steps, poly, starts):
-        key = (tuple((a[1], p[1]) for a, p in nodes), tuple(arrows))
+        key = (tuple(nodes), tuple(arrows))
         shared = values.get(key)
         if shared is None:
-            parts = ((frozenset((a[1], p[1])) for a, p in states), *key)
+            parts = (map(frozenset, states), *key)
             shared = values[key] = _ridge_cycle(*([intern(x, x) for x in xs] for xs in parts))
         cycle = RidgeCycle(shared.nodes, shared.arrows, shared.relator, shared.ridges)
         used = [by_letter[sym] for sym in dict.fromkeys(sym for sym, _sign in cycle.relator)]
@@ -480,8 +481,8 @@ def _cycle_entry(found, families, starts, poly, values):
 
 
 def ridge_cycles(pairings, polytope: Polytope24 | None = None):
-    """The code's ridge cycles, over side labels; sorted by start state,
-    which reproduces the published row order for 146928."""
+    """The code's ridge cycles, as ``domain_cycles`` gives them on its base
+    domain: sorted by start state, the published row order for 146928."""
     return _assemble(pairings, polytope or build_polytope(), "pairs", _cycle_entry, domain_cycles)
 
 
@@ -589,15 +590,15 @@ def _orbit_entry(found, families, layout, poly, values):
     partition = _partition(len(layout), pairs)
     entry = values.get((families, partition))
     if entry is None:
-        orbits = _orbits(partition, [(pos, poly.edge_faces[i].vertices) for pos, i in layout])
+        orbits = _orbits(partition, [(pos, (0, poly.edge_faces[i].vertices)) for pos, i in layout])
         entry = values[families, partition] = tuple(
             (o[0][0], tuple(face for _pos, face in o)) for o in orbits)
     return entry
 
 
 def edge_classes(pairings, polytope: Polytope24 | None = None):
-    """The code's edge-face orbits, as tuples of EdgeFace keys (vertex
-    pairs), in the order of ``domain_orbits``."""
+    """The code's edge-face orbits, as ``domain_orbits`` gives them on its
+    base domain: tuples of formal faces (0, vertex pair)."""
     poly = polytope or build_polytope()
     return _assemble(pairings, poly, "triples", _orbit_entry, domain_orbits)
 
@@ -630,8 +631,8 @@ def check_gluing(pairings, report: ValidationReport, polytope: Polytope24 | None
     """Add the manifold gluing checks of the pairings to ``report``: ridge
     cycles of length 4 partitioning the ridges, identity relators killed by
     the orientation character, edge-face orbits of 8.  Returns (whether all
-    of them pass, the ridge cycles, the edge-face orbits), over side
-    labels."""
+    of them pass, the ridge cycles, the edge-face orbits), as
+    ``ridge_cycles`` and ``edge_classes`` give them."""
     poly = polytope or build_polytope()
     eps = orientation_character(pairings)
     cycles = ridge_cycles(pairings, poly)

@@ -11,7 +11,8 @@ panels plus the JSON document into its --output directory.
 
 Only cover and invariants take --alpha, and invariants checks it on every
 stage, base and filled too; kirby --cover and trace glue along the default
-of ``cover.gluing_letter``, as the layout recipe is defined for g alone.
+of ``cover.gluing_letter``, and fail (a domain error) on a code whose
+default is not g, the one letter the layout recipe is defined for.
 invariants --max-cosets bounds the enumeration of the filled stages only.
 
 Exit codes: 0 success, 1 domain error (invalid code, failed condition,
@@ -77,10 +78,9 @@ def _write_file(path, text):
         fh.write(text)
 
 
-def _cycle_listing(cycles, name):
-    """JSON entries and text rows of a ridge-cycle listing; ``name`` names
-    a side (by its label on the base, by ``census.side_name`` on the cover)."""
-    entries, rows = [], []
+def _cycle_listing(cycles):
+    """JSON entries and text rows of a ridge-cycle listing of any domain."""
+    name, entries, rows = census.side_name, [], []
     for i, c in enumerate(cycles, 1):
         entries.append(
             {
@@ -138,16 +138,16 @@ def cmd_pairings(args):
 
 def cmd_cycles(args):
     cycles = census.ridge_cycles(stages.CodeStages(args.code).pairings)
-    entries, rows = _cycle_listing(cycles, str)
+    entries, rows = _cycle_listing(cycles)
     title = f"{len(cycles)} ridge cycles for code {args.code}"
     return 0, entries, "\n".join([title] + rows)
 
 
 def cmd_presentation(args):
-    code = stages.CodeStages(args.code)
-    pres = census.presentation(code.pairings, code.manifold[0])
+    base = stages.CodeStages(args.code).base
+    pres = base.presentation
     if args.fill:
-        pres = groups.add_relations(pres, code.fillings)
+        pres = groups.add_relations(pres, base.fillings)
     return 0, _presentation_doc(pres), pres.render()
 
 
@@ -200,8 +200,8 @@ def cmd_cusps(args):
 
 def cmd_cover(args):
     code = stages.CodeStages(args.code, args.alpha)
-    dc, cycles = code.cover, code.cover_cycles
-    entries, rows = _cycle_listing(cycles, census.side_name)
+    dc, cycles = code.double_cover, code.cover.cycles
+    entries, rows = _cycle_listing(cycles)
     doc = {
         "alpha": dc.alpha,
         "boundary_sides": [census.side_name(s) for s in dc.boundary_sides],

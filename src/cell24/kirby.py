@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import census, cover as cover_mod, cusps, groups, stages
 # SHIPPED_SCRIPTS is re-exported: the trace tests read kirby.SHIPPED_SCRIPTS.
 from .layout import LAYOUT, MIRROR_X, PANELS, SHIPPED_SCRIPTS, STAGES, Z
-from .polytope import SIDE_INDEX, build_polytope
+from .polytope import SIDE_INDEX
 
 # The coordinate that vanishes on each plane panel.
 PANEL_AXIS = {"xy": 2, "xz": 1, "yz": 0}
@@ -120,12 +120,13 @@ def _assign_colors(two_handles):
     return tuple(out)
 
 
-def build_diagram(source, domain, layout, fillings=()) -> KirbyDiagram:
-    """Kirby data of a sheeted domain: one 1-handle per pairing (the glued
+def build_diagram(source, stage, layout, fillings=()) -> KirbyDiagram:
+    """Kirby data of a ``stages.Stage``, read off its domain and its checked
+    cycles and orbits: one 1-handle per pairing of the domain (the glued
     wall pair included), the killing 2-handle over the wall, one 2-handle
     per ridge cycle, one 3-handle per edge-face orbit, plus zero-framed
     filling handles.  ``layout`` places a formal side (sheet, label)."""
-    poly = build_polytope()
+    domain = stage.domain
     one_handles = tuple(
         OneHandle(
             label=name,
@@ -141,19 +142,18 @@ def build_diagram(source, domain, layout, fillings=()) -> KirbyDiagram:
         return TwoHandle(hid, 0, word, framing, _panel_of(word, by_label), origin, ridges)
 
     two = [handle("killing", ((domain.wall, 1),), "killing")] if domain.wall else []
-    for i, c in enumerate(census.domain_cycles(domain, poly), 1):
+    for i, c in enumerate(stage.cycles, 1):
         ridges = (sorted(r, key=lambda s: (s[0], SIDE_INDEX[s[1]])) for r in c.ridges)
         two.append(handle(
             f"cycle-{i:02d}", groups.free_reduce(tuple(reversed(c.arrows))), "ridge",
             ridges=tuple(sorted((a[0], a[1], b[1]) for a, b in ridges)),
         ))
     two += [handle(fid, tuple(word), "filling", framing=0) for fid, word in fillings]
-    three = len(census.domain_orbits(domain, poly))
     return KirbyDiagram(
         source=source,
         one_handles=one_handles,
         two_handles=_assign_colors(tuple(two)),
-        three_handles=three + (len(fillings) + 1 if fillings else 0),
+        three_handles=len(stage.orbits) + (len(fillings) + 1 if fillings else 0),
         four_handles=1 if fillings else 0,
     )
 
@@ -265,21 +265,24 @@ def simplification_trace(d: KirbyDiagram, script) -> TraceResult:
 
 
 def assemble_diagram(code: str, want_cover=False, fill=False):
-    """Build the requested diagram for a code; the cover is glued along
-    ``cover.gluing_letter``'s default, g whenever g can be laid out.  The
-    code must give a manifold gluing."""
-    code = stages.CodeStages(code)
+    """Build the requested diagram for a code, which must give a manifold
+    gluing.  The cover is glued along ``cover.gluing_letter``'s default,
+    which must be g, the one letter the layout recipe is defined for."""
+    text, code = code, stages.CodeStages(code)
+    alpha = cover_mod.gluing_letter(code.eps) if want_cover else None  # a usage error first
+    code.manifold  # the gluing checks
     if not want_cover:
-        code.manifold  # the gluing checks; ``code.cover`` makes them too
-        fills = [(f"fill-{groups.word_str(w)}", w) for w in code.fillings] if fill else ()
-        return build_diagram("base", census.base_domain(code.pairings),
-                             lambda side: LAYOUT[side[1]], fills)
-    dc, fills = code.cover, ()
+        fills = [(f"fill-{groups.word_str(w)}", w) for w in code.base.fillings] if fill else ()
+        return build_diagram("base", code.base, lambda side: LAYOUT[side[1]], fills)
+    if alpha != "g":
+        raise KirbyError(f"the cover diagram's layout recipe is defined for the gluing "
+                         f"letter g, and code {text} glues its cover along {alpha}")
+    dc, fills = code.double_cover, ()
     if fill:
         words = [f.word for f in cusps.canonical_fillings(code.pairings, code.classes, True)]
         lifted = cover_mod.lift_filling_words(words, dc)
         fills = [(f"fill-{groups.word_str(w)}", lw) for w, lw in zip(words, lifted)]
-    return build_diagram("cover", dc.domain, lambda side: cover_mod.cover_layout(side, dc), fills)
+    return build_diagram("cover", code.cover, lambda side: cover_mod.cover_layout(side, dc), fills)
 
 
 class InvariantReport(NamedTuple):
@@ -321,8 +324,9 @@ def invariant_report(
     ``cover.gluing_letter``'s default), or a ``stages.CodeStages``, which
     carries its own letter and keeps what one stage builds for the next.
 
-    The code must give a manifold gluing.  The Euler characteristic of the
-    base and of the cover is counted on the engine's domain, sheets -
+    The report reads the parts of the code's base or cover ``Stage``; the
+    code must give a manifold gluing.  The Euler characteristic of the
+    base and of the cover is counted on the stage's domain, sheets -
     pairings + ridge cycles - edge-face orbits (the ideal vertices add no
     4-handle), and orientability is read off the orientation character;
     boundary filling along flat cusps leaves chi unchanged and the degree-2
@@ -334,23 +338,18 @@ def invariant_report(
         raise KirbyError(f"unknown stage {stage!r}; expected one of {STAGES}")
     if not isinstance(code, stages.CodeStages):
         code = stages.CodeStages(code, alpha)
-    if stage in ("base", "filled"):
-        cycles, orbits = code.manifold
-        domain, orientable = census.base_domain(code.pairings), -1 not in code.eps.values()
-        pres = census.presentation(code.pairings, cycles)
-    else:
-        dc = code.cover
-        domain, cycles, orbits, orientable = dc.domain, code.cover_cycles, code.cover_orbits, True
-        pres = cover_mod.cover_presentation(dc, cycles)
+    part = code.base if stage in ("base", "filled") else code.cover
+    cycles, orbits, domain = part.cycles, part.orbits, part.domain
     # One 2-handle per ridge cycle, one 3-handle per edge-face orbit.
     chi = domain.sheets - len(domain.pairs) + len(cycles) - len(orbits)
+    pres = part.presentation
     # Published filling words exist only for the reference code, so they are
     # read only at the filled stages.
     filled = stage not in ("base", "cover")
+    if filled:
+        pres = groups.add_relations(pres, part.fillings)
     if stage == "filled":
-        pres, chi = groups.add_relations(pres, code.fillings), None
-    elif filled:
-        pres = groups.add_relations(pres, cover_mod.lift_filling_words(code.fillings, dc))
+        chi = None
     if stage == "degree2_of_filled_cover":
         # Degree-2 cover of the filled cover, handled algebraically: simplify
         # to a single generator of order two, then rewrite its kernel.
@@ -365,6 +364,7 @@ def invariant_report(
     # in it (each cusp also gives a Z^3).  That holds per stage, whatever H1
     # is: a9e1d6 has finite H1 on both unfilled stages.
     order = groups.todd_coxeter(pres, max_cosets) if filled else None
+    orientable = part is code.cover or -1 not in code.eps.values()
     return InvariantReport(stage, chi, torsion, rank, order, orientable, REMARKS[stage])
 
 

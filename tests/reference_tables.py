@@ -190,56 +190,42 @@ def parse_row(text):
     return nodes, arrows
 
 
-def compare_row(printed_text, traced_nodes, traced_arrows, base=False):
+def compare_row(printed_text, traced_nodes, traced_arrows):
     """Token-by-token comparison of a printed row against a recomputed
     traversal started at the printed row's start ridge.  Returns a list of
     discrepancy strings (empty = literal match)."""
     nodes, arrows = parse_row(printed_text)
-    if base:
-        computed_nodes = [((0, a), (0, p)) for a, p in traced_nodes]
-    else:
-        computed_nodes = list(traced_nodes)
-    computed_nodes = computed_nodes + [computed_nodes[0]]
+    computed_nodes = list(traced_nodes) + [traced_nodes[0]]
     issues = []
     for i, (printed, computed) in enumerate(zip(nodes, computed_nodes)):
         if printed != computed:
             issues.append(f"node {i}: printed {printed} vs computed {computed}")
-    if base:
-        computed_arrows = [(l, s) for l, s in traced_arrows]
-    else:
-        computed_arrows = list(traced_arrows)
-    for i, (printed, computed) in enumerate(zip(arrows, computed_arrows)):
+    for i, (printed, computed) in enumerate(zip(arrows, traced_arrows)):
         if printed != computed:
             issues.append(f"arrow {i}: printed {printed} vs computed {computed}")
     return issues
 
 
-def check_base_table(pairings):
-    """Compare every printed base row against recomputation; returns
-    {row_number: [discrepancies]} for rows that fail to match."""
+def check_table(rows, domain):
+    """Compare every printed row against its recomputation on ``domain``
+    from the printed start; returns {row_number: [discrepancies]} for rows
+    that fail to match."""
     from cell24 import census
 
-    domain = census.base_domain(pairings)
     mismatches = {}
-    for number, text in enumerate(BASE_CYCLE_ROWS, 1):
+    for number, text in enumerate(rows, 1):
         nodes, _ = parse_row(text)
-        start = (nodes[0][0], nodes[0][1])
-        traced_nodes, traced_arrows = census.trace_cycle_from(start, domain)
-        issues = compare_row(text, traced_nodes, traced_arrows)
+        issues = compare_row(text, *census.trace_cycle_from(nodes[0], domain))
         if issues:
             mismatches[number] = issues
     return mismatches
+
+
+def check_base_table(pairings):
+    from cell24 import census
+
+    return check_table(BASE_CYCLE_ROWS, census.base_domain(pairings))
 
 
 def check_cover_table(cover_obj):
-    from cell24 import census
-
-    mismatches = {}
-    for number, text in enumerate(COVER_CYCLE_ROWS, 1):
-        nodes, _ = parse_row(text)
-        start = (nodes[0][0], nodes[0][1])
-        traced_nodes, traced_arrows = census.trace_cycle_from(start, cover_obj.domain)
-        issues = compare_row(text, traced_nodes, traced_arrows)
-        if issues:
-            mismatches[number] = issues
-    return mismatches
+    return check_table(COVER_CYCLE_ROWS, cover_obj.domain)

@@ -53,7 +53,6 @@ def test_criterion_02_ridge_cycles(pairings, cycles):
             rt.BASE_CYCLE_ROWS[row - 1],
             cycles[row - 1].nodes,
             cycles[row - 1].arrows,
-            base=True,
         ) == []
     report(2, "24 length-4 cycles; published table reproduced "
               "(rows 1, 2 literal; only known misprints deviate)")

@@ -103,9 +103,7 @@ def test_cycle_partition(cycles):
     poly = build_polytope()
     covered = [r for c in cycles for r in c.ridges]
     assert len(covered) == 96
-    assert {frozenset(r) for r in covered} == {
-        frozenset(ridge.sides) for ridge in poly.ridges
-    }
+    assert set(covered) == {frozenset((0, s) for s in ridge.sides) for ridge in poly.ridges}
 
 
 def test_cycle_table_matches_published(pairings):
@@ -120,13 +118,11 @@ def test_rows_one_and_two_literal(pairings, cycles):
         rt.BASE_CYCLE_ROWS[0],
         cycles[0].nodes,
         cycles[0].arrows,
-        base=True,
     ) == []
     assert rt.compare_row(
         rt.BASE_CYCLE_ROWS[1],
         cycles[1].nodes,
         cycles[1].arrows,
-        base=True,
     ) == []
 
 
@@ -255,8 +251,8 @@ def test_validate_means_manifold():
 def test_seeded_census_sweep(codes, request):
     sample_codes = request.getfixturevalue(codes)
     poly = build_polytope()
-    ridges = {r.sides for r in poly.ridges}
-    faces = {f.vertices for f in poly.edge_faces}
+    ridges = {frozenset((0, s) for s in r.sides) for r in poly.ridges}
+    faces = {(0, f.vertices) for f in poly.edge_faces}
     manifolds = covers = 0
     for code in sample_codes:
         pairings = census.build_pairings(census.parse_code(code), poly)
@@ -289,20 +285,21 @@ def test_seeded_census_sweep(codes, request):
 
 def _check_covers(pairings, eps, cycles, orbits):
     """Geometric double cover along every reversing letter of a manifold:
-    its cycles and orbits project two-to-one onto the base's, its relators
-    are identities, and its H1 equals the Reidemeister-Schreier cover's."""
+    its cycles and orbits project two-to-one onto the base's, on sheet 0,
+    its relators are identities, and its H1 equals the Reidemeister-Schreier
+    cover's."""
     base = census.presentation(pairings, cycles)
     alphas = [letter for letter, e in eps.items() if e == -1]
     for alpha in alphas:
         dc = cover.build_double_cover(pairings, eps, alpha)
         cover_cycles = cover.cover_ridge_cycles(dc)
         lifted = Counter(
-            frozenset(frozenset(label for _sheet, label in r) for r in c.ridges)
+            frozenset(frozenset((0, label) for _sheet, label in r) for r in c.ridges)
             for c in cover_cycles
         )
         assert lifted == {c.ridges: 2 for c in cycles}
         lifted = Counter(
-            frozenset(face for _sheet, face in orbit)
+            frozenset((0, face) for _sheet, face in orbit)
             for orbit in census.domain_orbits(dc.domain)
         )
         assert lifted == {frozenset(orbit): 2 for orbit in orbits}

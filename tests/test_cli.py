@@ -258,15 +258,21 @@ def test_cusps_computes_each_move_table_once(capsys, monkeypatch):
         assert len(calls) == len(set(calls)) == 24, argv
 
 
+def count_calls(monkeypatch, functions):
+    """Patch each (module, name) of ``functions`` to count its calls by name."""
+    calls = Counter()
+    for module, name in functions:
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _f=original, _n=name, **k: calls.update([_n]) or _f(*a, **k)
+        )
+    return calls
+
+
 def test_cusps_builds_each_cusp_group_once(capsys, monkeypatch):
     # Each stabilizer generator's affine part and its inverse's are computed
     # once, and each of the five cusps closes its holonomy once.
-    calls = Counter()
-    for module, name in ((flat3, "holonomy_closure"), (cusps, "affine_parts")):
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *a, _f=original, _n=name: calls.update([_n]) or _f(*a)
-        )
+    calls = count_calls(monkeypatch, ((flat3, "holonomy_closure"), (cusps, "affine_parts")))
     assert run(capsys, "cusps", "146928")[0] == 0
     assert calls == {"holonomy_closure": 5, "affine_parts": 106}
 
@@ -276,35 +282,53 @@ def test_cover_builds_its_generator_names_once(capsys, monkeypatch):
     # (kept on DoubleCover.names) and once per rewritten presentation: an
     # invariants call builds one cover for its five stages and rewrites the
     # filled cover's presentation once.
-    calls = []
-    original = groups.double_cover_generator_names
-    for module in (groups, cover):
-        monkeypatch.setattr(
-            module, "double_cover_generator_names", lambda *a: calls.append(a) or original(*a)
-        )
+    name = "double_cover_generator_names"
+    calls = count_calls(monkeypatch, ((groups, name), (cover, name)))
     assert run(capsys, "invariants", "146928")[0] == 0
-    assert len(calls) == 2
+    assert calls[name] == 2
     calls.clear()
     assert run(capsys, "kirby", "146928", "--cover", "--fill")[0] == 0
-    assert len(calls) == 1
+    assert calls[name] == 1
 
 
 def test_invariants_build_each_shared_stage_once(capsys, monkeypatch):
     # The five stages of one invariants call read the pairings, the gluing
-    # checks, the cusp classes, the published fillings and the double cover
-    # with its cycles off one per-code object.
-    calls = Counter()
-    for module, name in ((census, "build_pairings"), (census, "require_manifold"),
-                         (cusps, "vertex_classes"), (cusps, "canonical_fillings"),
-                         (cover, "build_double_cover"), (cover, "cover_ridge_cycles")):
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *a, _f=original, _n=name, **k: calls.update([_n]) or _f(*a, **k)
-        )
+    # checks, the cusp classes, the published fillings and each stage's
+    # domain, cycles, presentation and lifted fillings off one per-code object.
+    shared = ((census, "build_pairings"), (census, "require_manifold"),
+              (cusps, "vertex_classes"), (cusps, "canonical_fillings"),
+              (census, "base_domain"), (census, "presentation"),
+              (cover, "build_double_cover"), (cover, "cover_ridge_cycles"),
+              (cover, "cover_presentation"), (cover, "lift_filling_words"))
+    calls = count_calls(monkeypatch, shared)
     assert run(capsys, "invariants", "146928")[0] == 0
-    assert calls == dict.fromkeys(
-        ("build_pairings", "require_manifold", "vertex_classes", "canonical_fillings",
-         "build_double_cover", "cover_ridge_cycles"), 1)
+    assert calls == dict.fromkeys((name for _module, name in shared), 1)
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("kirby 146928", {"domain_cycles": 0, "domain_orbits": 0}),
+    ("kirby 146928 --cover --fill", {"cover_ridge_cycles": 1, "cover_presentation": 0}),
+    ("trace 146928 --script m35-cover-fill", {"cover_ridge_cycles": 1, "cover_presentation": 0}),
+    ("cover 146928", {"domain_orbits": 0, "cover_presentation": 0}),
+])
+def test_subcommands_read_only_the_stage_parts_they_print(capsys, monkeypatch, argv, want):
+    # A diagram reads its stage's cycles and orbits, the base's off the
+    # census tables, and no subcommand builds a part its output omits.
+    calls = count_calls(monkeypatch, ((census if name.startswith("domain") else cover, name)
+                                      for name in want))
+    assert run(capsys, *argv.split())[0] == 0
+    assert {name: calls[name] for name in want} == want
+
+
+def test_cover_diagram_needs_the_gluing_letter_g(capsys, monkeypatch):
+    # ef276c glues its cover along c, for which the layout recipe is not
+    # defined: a domain error naming the letter, before the cover is built.
+    calls = count_calls(monkeypatch, [(cover, "build_double_cover")])
+    for argv in ("kirby ef276c --cover", "trace ef276c --script m35-cover-fill"):
+        assert run(capsys, *argv.split()) == (1, "", (
+            "error: the cover diagram's layout recipe is defined for the gluing letter g, "
+            "and code ef276c glues its cover along c\n")), argv
+    assert calls == {}
 
 
 def test_cusp_geometry_error_is_a_domain_error(capsys, monkeypatch):

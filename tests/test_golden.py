@@ -2,9 +2,10 @@
 
 Each README invocation on 146928 (text and JSON, every stage, the cover
 along e, the base, cover and filled Kirby documents, the four SVG panels,
-the report directory and the trace), plus a few other codes, is pinned by
-the sha256 of its stdout and of every file it writes; with ``-o FILE`` each
-invocation writes exactly its stdout bytes to the file.  A change that moves
+the report directory and the trace), plus a few other codes (112124's
+cycles of lengths 2 and 4, ef276c's base diagram and its cover along c), is
+pinned by the sha256 of its stdout and of every file it writes; with ``-o
+FILE`` each invocation writes exactly its stdout bytes to the file.  A change that moves
 one byte of this output fails here; regenerate the digests only for an
 intended output change, and say so in CHANGES.md.
 """
@@ -44,6 +45,9 @@ INVOCATIONS = {
     "trace": ["trace", REF, "--script", "m35-cover-fill"],
     "cusps-ef276c": ["cusps", "ef276c"],
     "cusps-2bec36": ["cusps", "2bec36"],
+    "cycles-112124": ["cycles", "112124"],
+    "kirby-ef276c": ["kirby", "ef276c"],
+    "cover-ef276c": ["cover", "ef276c"],
     "validate-a5e164": ["validate", "a5e164"],
     "invariants-a9e1d6-base": ["invariants", "a9e1d6", "--stage", "base"],
     "invariants-a9e1d6-cover": ["invariants", "a9e1d6", "--stage", "cover"],
@@ -53,7 +57,7 @@ JSON_VARIANTS = (
     "cover", "cover-alpha-e", "invariants", "invariants-base", "invariants-cover",
     "invariants-filled", "invariants-filled_cover", "invariants-degree2_of_filled_cover",
     "kirby", "kirby-fill", "kirby-cover", "kirby-cover-fill", "trace",
-    "invariants-a9e1d6-base", "invariants-a9e1d6-cover",
+    "invariants-a9e1d6-base", "invariants-a9e1d6-cover", "cycles-112124", "kirby-ef276c",
 )
 for _name in JSON_VARIANTS:
     INVOCATIONS[f"{_name}-json"] = INVOCATIONS[_name] + ["--format", "json"]
@@ -63,12 +67,15 @@ DIGESTS = {
     "cover": "5672d80e7140e5344afd9caef633c4c6d05fc77785634ffd799cb02765041cfb",
     "cover-alpha-e": "53548e318be76dc4449ffc9b3b8cf50e9fe58b40f1404fc23bd6f4d87df5128e",
     "cover-alpha-e-json": "6d90b96a0f3075fabe23a2a09a5a352dda12ff63443646908c9e11d91b333b16",
+    "cover-ef276c": "55a7b5ef249dec8895ef9c9520074a69023acdca6f651c439d4ea08d63cf4741",
     "cover-json": "5250dce34d26b5034d8cb208985a136f29962df531c262d9cb782ce34240f2bb",
     "cusps": "d3d23324d54539ffe9ea6c01fc3dba1fa21596d1057ed4d8d544993847911489",
     "cusps-2bec36": "d4ce2a69a3e2a06ff9fd280dd82fa366ec8606dc3022318f50c4fd1f4476e233",
     "cusps-ef276c": "6ea422af20343f578b4680cf787efb532cf3e293ed2f338f814bba44a0e41dcc",
     "cusps-json": "6c6a630e7534a7883ff5d97a859b803ebf7f4e053bbc517bb8e66a5c64642cf4",
     "cycles": "32e404364fb08ec3d927905f769d0ddd4e222837af4879afbf6f8bd5bc6cd63d",
+    "cycles-112124": "b68cf9447c478881033eac1390a6231df270321523de6d4055e727ddd080a586",
+    "cycles-112124-json": "20337b9c04043d03bab6fde333514f005804ea783806acc45ae644164342b165",
     "cycles-json": "19e48159775b9bd26d25eb3ef7a4d2b27117f4029582fe894c3117fbac64a36c",
     "invariants-a9e1d6-base": "2d1547a045812d88f3d0eb1857de8ca6c5010d67ae2ae28e847414ec132e88ef",
     "invariants-a9e1d6-base-json": "6c1e961272dc24cab622e6324bbf5e8a933ae8bfd6009e7eec88968e5b729c47",
@@ -91,6 +98,8 @@ DIGESTS = {
     "kirby-cover-fill": "2c2966a7e9c5cebc019b768e4f628b9f256ac0c734b20cbbcae6d7a74aab07e8",
     "kirby-cover-fill-json": "aa7ba72752960af56dc3f3e898cfaa8755cbf4774bc86437ca42824ea3a537c6",
     "kirby-cover-json": "21a642af3f1edab1f65a56b8b6b788def556fae965a85876e1943df32194946c",
+    "kirby-ef276c": "62f95e86ef8266cff258e3bc61df91999b6e2ca331d160d04d0872a00ec296d1",
+    "kirby-ef276c-json": "7af54bccd5be57fa332488f6215e1f03c5baae77ebd8592cd6d24a6751ae41aa",
     "kirby-fill": "9ca9dbb515b2a9db7efa6907caf68dcb19b3f187802c1546d44d96f6bd1689ef",
     "kirby-fill-json": "0ae4383bdf8702a55c53099fc66963d037c47813e7956b7f6c1419f52fce93ea",
     "kirby-json": "9eee43cf708981e3c704718f2de71d1a187b50a4f93f76024b0e814a8d789daf",

@@ -25,25 +25,21 @@ def side_family(poly, label):
     return tuple(j for j in range(4) if poly.sides[label].center[j])
 
 
+def fields(cycles):
+    return [(c.nodes, c.arrows, c.relator, c.ridges) for c in cycles]
+
+
 def whole_cycles(pairings, poly):
-    """The base domain's ridge cycles from the whole-domain engine, in the
-    label form of the census."""
-    return [
-        (tuple((a[1], p[1]) for a, p in c.nodes), c.arrows, c.relator,
-         frozenset(frozenset(label for _sheet, label in r) for r in c.ridges))
-        for c in census.domain_cycles(census.base_domain(pairings, poly), poly)
-    ]
+    """The base domain's ridge cycles from the whole-domain engine."""
+    return fields(census.domain_cycles(census.base_domain(pairings, poly), poly))
 
 
 def whole_orbits(pairings, poly):
-    return [
-        tuple(face for _sheet, face in orbit)
-        for orbit in census.domain_orbits(census.base_domain(pairings, poly), poly)
-    ]
+    return census.domain_orbits(census.base_domain(pairings, poly), poly)
 
 
 def table_cycles(pairings, poly):
-    return [(c.nodes, c.arrows, c.relator, c.ridges) for c in census.ridge_cycles(pairings, poly)]
+    return fields(census.ridge_cycles(pairings, poly))
 
 
 def table_orbits(pairings, poly):
