@@ -18,7 +18,7 @@ label) and faces (sheet, vertex pair).
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -122,19 +122,24 @@ def build_pairings(kvecs, polytope: Polytope24 | None = None):
     family's support, ordered lexicographically (this reproduces the
     published source/target display for 146928).  ``parse_code`` makes k
     flip some support coordinate, so every family has two sources.
+
+    A family's two pairings depend on nothing but its digit: they are built
+    once per (polytope, family index, k), into the family's record, and
+    every code with that digit shares them.  Only a list of the records'
+    own pairings reaches the census tables.  A raised InvalidCode makes no
+    record.
     """
     poly = polytope or build_polytope()
-    return [
-        p for index, k in zip(range(len(FAMILIES)), kvecs)
-        for p in _family_pairings(poly, index, tuple(k))
-    ]
+    records = _records(poly)[0]
+    pairings = []
+    for index, k in zip(range(len(FAMILIES)), map(tuple, kvecs)):
+        record = records.get((index, k)) or _new_record(poly, index, k)
+        pairings += record.pairings
+    return pairings
 
 
-@lru_cache(maxsize=None)
-def _family_pairings(poly: Polytope24, index: int, k: tuple):
-    """A family's two pairings depend on nothing but its k: they are built
-    once per (polytope, family, k), at most 6 x 12, and every code with that
-    digit shares them.  A raised InvalidCode is not cached."""
+def _new_record(poly: Polytope24, index: int, k: tuple):
+    """Build family ``index``'s pairings for sign vector k into its record."""
     letters, support = FAMILIES[index]
     family_sides = [
         s for s in poly.sides.values()
@@ -154,7 +159,42 @@ def _family_pairings(poly: Polytope24, index: int, k: tuple):
             raise InvalidCode(f"pairing {letter} does not carry its source sphere to "
                               "its target sphere")
         pairings.append(SidePairing(letter, src, tgt, k, word))
-    return tuple(pairings)
+    by_digit, by_ids = _records(poly)
+    record = by_digit[index, k] = by_ids[(index, *map(id, pairings))] = _Record(pairings, poly)
+    return record
+
+
+@lru_cache(maxsize=None)
+def _records(poly: Polytope24):
+    """The family records ``build_pairings`` made on the polytope, by digit
+    (family index, k) and by (family index, ids of its two pairings)."""
+    return {}, {}
+
+
+class _Record:
+    """A family's two pairings, with its one-sheet steps, made on first
+    use, and each triple table's local face pairs (``_orbit_entry``).  It
+    keeps its pairings alive, so their ids stay its key."""
+
+    def __init__(self, pairings, poly):
+        self.pairings, self.faces, self._poly = tuple(pairings), {}, poly
+
+    @cached_property
+    def steps(self):
+        pairs = [(p.letter, (0, p.source.label), (0, p.target.label)) for p in self.pairings]
+        return sheeted_domain(pairs, _read_moves(self.pairings, self._poly)).steps
+
+
+def _table_records(pairings, poly):
+    """The six family records when ``pairings`` are their very pairings,
+    family f's two at places 2f and 2f + 1 (found by id, no matrix hashed);
+    else None."""
+    if len(pairings) == 12:
+        ids = map(id, pairings)
+        found = list(map(_records(poly)[1].get, zip(range(len(FAMILIES)), ids, ids)))
+        if None not in found:
+            return found
+    return None
 
 
 def orientation_character(pairings) -> dict:
@@ -177,12 +217,11 @@ class Move(NamedTuple):
 
     ``sides``, ``vertices`` and ``faces`` are the move's exact action on
     the faces at its side, read off its own word's Lorentz matrix
-    (``Polytope24.action``) once, when its family record is made (see
-    ``_family_records``): side label -> image side label for the sides
+    (``Polytope24.action``): side label -> image side label for the sides
     meeting it in a ridge, vertex index -> image vertex index for the ideal
     vertices on it, and edge-face index -> image edge-face index for the
     edge faces on it, with None for an image outside the side, vertex or
-    edge-face lattice.
+    edge-face lattice.  A family record reads its four once, on first use.
     """
 
     letter: str
@@ -193,15 +232,25 @@ class Move(NamedTuple):
 
 
 def moves_by_side(pairings, polytope: Polytope24 | None = None):
-    """The move leaving each side label, merged from the pairings' family
-    records."""
-    moves = {
-        label: step[3]
-        for _id, steps, _group, _faces in _family_records(pairings, polytope or build_polytope())
-        for (_sheet, label), step in steps.items()
+    """The move leaving each side label: merged from the family records for
+    a list ``build_pairings`` made, else read off the words."""
+    poly = polytope or build_polytope()
+    found = _table_records(pairings, poly)
+    moves = _read_moves(pairings, poly) if found is None else {
+        label: step[3] for record in found for (_sheet, label), step in record.steps.items()
     }
     if len(moves) != 24:
         raise InvalidCode("pairings do not cover the 24 sides as source/target")
+    return moves
+
+
+def _read_moves(pairings, poly):
+    """The moves leaving the pairings' sources and targets, by side label."""
+    moves = {}
+    for p in pairings:
+        for sign, label, word in ((1, p.source.label, p.word),
+                                  (-1, p.target.label, letter_inverse(p.word))):
+            moves[label] = Move(p.letter, sign, *poly.action(label, word.matrix))
     return moves
 
 
@@ -365,12 +414,11 @@ def domain_cycles(domain: Domain, polytope: Polytope24 | None = None):
 
 @lru_cache(maxsize=None)
 def _local_tables(poly: Polytope24):
-    """(family of each side label, family records by value and by identity,
-    tables by kind, interned values and triple entries), empty until codes
-    fill them.  Sign diagonals keep each family's support, so a ridge cycle
-    depends only on its two families' pairings and an edge-face orbit on its
-    three's.  A table is (families, key of their ids, layout of (position,
-    state or face) items, entries)."""
+    """(Tables by kind, interned values and triple entries), empty until
+    codes fill them.  Sign diagonals keep each family's support, so a ridge
+    cycle depends only on its two families' pairings and an edge-face orbit
+    on its three's.  A table is (families, key of their records, layout of
+    (position, state or face) items, entries by the families' records)."""
     family = {s.label: [f for _letters, f in FAMILIES].index(
         tuple(j for j in range(4) if s.center[j])) for s in poly.sides.values()}
 
@@ -381,78 +429,26 @@ def _local_tables(poly: Polytope24):
         return [(fs, itemgetter(*fs), layout, {}) for fs, layout in layouts.items()]
 
     faces, states = poly.edge_faces, enumerate(_ridge_states(poly, 1))
-    return family, {}, {}, {
+    return {
         "pairs": tables(((family[a[1]], family[p[1]]), (pos, (a, p))) for pos, (a, p) in states),
         "triples": tables(([family[label] for label in faces[i].sides], (pos, i))
                           for pos, i in enumerate(_face_order(poly))),
     }, {}
 
 
-def _family_records(pairings, poly):
-    """The records of the pairings' six families, made as needed: the only
-    cache of pairing moves.
-
-    A family's record is keyed by its exact tuple of pairings (those with a
-    source side in the family, in list order), never by digits or letters.
-    It holds (id, steps, pairings, faces): a small id keying table entries,
-    or None when the pairings do not keep the family (their sides are not
-    its four sides, or a move sends a side across families), the one-sheet
-    steps, with moves read off each word's matrix, the pairings, and each
-    triple table's local face pairs, made on first use (``_orbit_entry``).
-
-    A tuple's hash hashes every matrix, so a record is also keyed by the ids
-    of its own pairings (it keeps them alive) at positions 2f, 2f + 1 of 12.
-    """
-    family, records, known, _tables, _values = _local_tables(poly)
-    ids = map(id, pairings)
-    keys = list(zip(range(len(FAMILIES)), ids, ids))
-    if len(pairings) == 12:
-        found = list(map(known.get, keys))
-        if None not in found:
-            return found
-    groups = [[] for _ in FAMILIES]
-    for p in pairings:
-        groups[family[p.source.label]].append(p)
-    found = []
-    for index, group in enumerate(map(tuple, groups)):
-        record = records.get(group)
-        if record is None:
-            steps = {}
-            for p in group:
-                src, tgt = p.source.label, p.target.label
-                for sign, a, b, word in ((1, src, tgt, p.word),
-                                         (-1, tgt, src, letter_inverse(p.word))):
-                    mv = Move(p.letter, sign, *poly.action(a, word.matrix))
-                    steps[(0, a)] = (p.letter, sign, (0, b), mv)
-            own = sorted(family[label] for _sheet, label in steps) == [index] * 4
-            own = own and not any(b and family[b] != family[a]
-                                  for *_, mv in steps.values() for a, b in mv.sides.items())
-            record = records[group] = (len(records) if own else None, steps, group, {})
-        found.append(record)
-        if len(pairings) == 12 and (index, *map(id, record[2])) == keys[index]:
-            known[keys[index]] = record
-    return found
-
-
 def _assemble(pairings, poly, kind, fill, scan):
-    """The pairings' entries in the ``kind`` tables, filled as needed, merged."""
-    _family, _records, _known, tables, values = _local_tables(poly)
-    try:
-        found = _family_records(pairings, poly)
-        ids = [record[0] for record in found]
-        if None in ids:
-            moves_by_side(pairings, poly)  # InvalidCode unless the 24 sides are paired
-            raise PoincareViolation("a pairing does not keep the side families")
-        items = []
-        for families, key, layout, entries in tables[kind]:
-            entry = entries.get(key(ids))
-            if entry is None:
-                entry = entries[key(ids)] = fill(found, families, layout, poly, values)
-            items += entry
-    except PoincareViolation:
-        # Raise the whole-domain scan's error if it has one (for cycles, the least start's).
-        scan(base_domain(pairings, poly), poly)
-        raise
+    """The entries in the ``kind`` tables of a list ``build_pairings`` made,
+    filled as needed, merged; any other list's ``scan`` of its base domain."""
+    found = _table_records(pairings, poly)
+    if found is None:
+        return scan(base_domain(pairings, poly), poly)
+    tables, values = _local_tables(poly)
+    items = []
+    for families, key, layout, entries in tables[kind]:
+        entry = entries.get(key(found))
+        if entry is None:
+            entry = entries[key(found)] = fill(found, families, layout, poly, values)
+        items += entry
     return [value for _pos, value in sorted(items)]  # positions are distinct
 
 
@@ -460,8 +456,8 @@ def _cycle_entry(found, families, starts, poly, values):
     """Each cycle shares its parts, built once per distinct trace, with equal
     traces of other entries, but is the entry's own: it keeps its relator's
     isometry, folded once from the entry's pairings, and those pairings."""
-    steps = {side: step for f in families for side, step in found[f][1].items()}
-    by_letter = {p.letter: p for f in families for p in found[f][2]}
+    steps = {side: step for f in families for side, step in found[f].steps.items()}
+    by_letter = {p.letter: p for f in families for p in found[f].pairings}
     intern, entry = values.setdefault, []
     for pos, (states, nodes, arrows) in _canonical_traces(steps, poly, starts):
         key = (tuple(nodes), tuple(arrows))
@@ -470,12 +466,10 @@ def _cycle_entry(found, families, starts, poly, values):
             parts = (map(frozenset, states), *key)
             shared = values[key] = _ridge_cycle(*([intern(x, x) for x in xs] for xs in parts))
         cycle = RidgeCycle(shared.nodes, shared.arrows, shared.relator, shared.ridges)
-        used = [by_letter[sym] for sym in dict.fromkeys(sym for sym, _sign in cycle.relator)]
-        if all(p.letter in LETTER_INDEX for p in used):
-            word = _fold(cycle.relator, lambda sym: by_letter[sym].word)
-            letters = [(LETTER_INDEX[p.letter], p) for p in used]
-            cycle.letters = tuple(intern(x, x) for x in letters)
-            cycle.isometry = intern(word, word)
+        used = dict.fromkeys(sym for sym, _sign in cycle.relator)
+        word = _fold(cycle.relator, lambda sym: by_letter[sym].word)
+        cycle.letters = tuple(intern(x, x) for x in ((LETTER_INDEX[s], by_letter[s]) for s in used))
+        cycle.isometry = intern(word, word)
         entry.append((pos, cycle))
     return tuple(entry)
 
@@ -547,11 +541,9 @@ def _face_pairs(steps, at, n):
     for (sheet, _label), (name, sign, image, mv) in steps.items():
         for i, j in mv.faces.items() if sign == 1 else ():
             if sheet * n + i in at:
-                y = None if j is None else at.get(image[0] * n + j)
-                if y is None:
-                    where = "off the face lattice" if j is None else "out of its families"
-                    raise PoincareViolation(f"pairing {name} maps an edge face {where}")
-                pairs.append((at[sheet * n + i], y))
+                if j is None:
+                    raise PoincareViolation(f"pairing {name} maps an edge face off the face lattice")
+                pairs.append((at[sheet * n + i], at[image[0] * n + j]))
     return tuple(pairs)
 
 
@@ -583,10 +575,10 @@ def _orbit_entry(found, families, layout, poly, values):
     its records keep for it, one entry per distinct partition."""
     pairs = ()
     for f in families:
-        if families not in found[f][3]:
+        if families not in found[f].faces:
             at = {i: x for x, (_pos, i) in enumerate(layout)}
-            found[f][3][families] = _face_pairs(found[f][1], at, len(poly.edge_faces))
-        pairs += found[f][3][families]
+            found[f].faces[families] = _face_pairs(found[f].steps, at, len(poly.edge_faces))
+        pairs += found[f].faces[families]
     partition = _partition(len(layout), pairs)
     entry = values.get((families, partition))
     if entry is None:

@@ -317,15 +317,11 @@ REMARKS = {
 
 
 def invariant_report(
-    stage: str, code="146928", alpha: str | None = None, max_cosets: int = 100_000,
+    stage: str, code: stages.CodeStages, max_cosets: int = 100_000,
 ) -> InvariantReport:
-    """Algebraic invariants at each stage of the construction.  ``code`` is
-    code text, whose cover is glued along ``alpha`` (None meaning
-    ``cover.gluing_letter``'s default), or a ``stages.CodeStages``, which
-    carries its own letter and keeps what one stage builds for the next.
-
-    The report reads the parts of the code's base or cover ``Stage``; the
-    code must give a manifold gluing.  The Euler characteristic of the
+    """Algebraic invariants at each stage of the construction, read off the
+    parts of the code's base or cover ``Stage``; the code must give a
+    manifold gluing.  The Euler characteristic of the
     base and of the cover is counted on the stage's domain, sheets -
     pairings + ridge cycles - edge-face orbits (the ideal vertices add no
     4-handle), and orientability is read off the orientation character;
@@ -336,8 +332,6 @@ def invariant_report(
     """
     if stage not in STAGES:
         raise KirbyError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    if not isinstance(code, stages.CodeStages):
-        code = stages.CodeStages(code, alpha)
     part = code.base if stage in ("base", "filled") else code.cover
     cycles, orbits, domain = part.cycles, part.orbits, part.domain
     # One 2-handle per ridge cycle, one 3-handle per edge-face orbit.

@@ -9,6 +9,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 from cell24 import census, cover, cusps
 
 
+@pytest.fixture
+def reset_tables():
+    """Forget every census family record and table entry, as a new process
+    has none; the fixture is the reset, to call again."""
+    def reset():
+        census._records.cache_clear()
+        census._local_tables.cache_clear()
+
+    reset()
+    return reset
+
+
 @pytest.fixture(scope="session")
 def pairings():
     return census.build_pairings(census.parse_code("146928"))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import reference_tables as rt
-from cell24 import census, cover, cusps, groups, kirby
+from cell24 import census, cover, cusps, groups, kirby, stages
 from cell24.groups import word_from_str, word_str
 from cell24.moebius import TRANSLATION
 
@@ -162,12 +162,13 @@ def test_criterion_08_cover_cycles(double_cover, cover_cycles):
 
 
 def test_criterion_09_euler_bookkeeping():
+    code = stages.CodeStages("146928")
     chi = {
-        stage: kirby.invariant_report(stage).euler_characteristic
+        stage: kirby.invariant_report(stage, code).euler_characteristic
         for stage in ("base", "cover", "degree2_of_filled_cover")
     }
     assert chi == {"base": 1, "cover": 2, "degree2_of_filled_cover": 4}
-    top = kirby.invariant_report("degree2_of_filled_cover")
+    top = kirby.invariant_report("degree2_of_filled_cover", code)
     assert top.h1_torsion == () and top.h1_rank == 0 and top.group_order == 1
     assert "S^2 x S^2" in top.candidate_remark
     report(9, "chi = 1 (base), 2 (cover), 4 (degree-2 cover of the filled "

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import cell24
-from cell24 import census, cover, cusps, flat3, groups, kirby
+from cell24 import census, cover, cusps, flat3, groups, kirby, stages
 from cell24.cli import main
 from cell24.polytope import Polytope24
 
@@ -236,26 +236,28 @@ def test_validate_rejects_non_manifold(capsys):
     assert "[FAIL] edge-face orbits" in out
 
 
-def test_cusps_computes_each_move_table_once(capsys, monkeypatch):
+def test_cusps_computes_each_move_table_once(capsys, monkeypatch, reset_tables):
     # cusps traces the gluing, the vertex classes and each cusp's stabilizer
     # through the same 24 moves, and the cover, invariants, kirby and trace
     # commands build the cover over them; from fresh tables each command
     # computes each move's action once, into the code's family records.
+    # pairings reads no move.
     action, calls = Polytope24.action, []
     monkeypatch.setattr(
         Polytope24, "action", lambda self, *key: calls.append(key) or action(self, *key)
     )
-    for argv in (
-        ["cusps", "146928"],
-        ["cover", "146928"],
-        ["invariants", "146928"],
-        ["kirby", "146928", "--cover", "--fill"],
-        ["trace", "146928", "--script", "m35-cover-fill"],
+    for argv, moves in (
+        (["pairings", "146928"], 0),
+        (["cusps", "146928"], 24),
+        (["cover", "146928"], 24),
+        (["invariants", "146928"], 24),
+        (["kirby", "146928", "--cover", "--fill"], 24),
+        (["trace", "146928", "--script", "m35-cover-fill"], 24),
     ):
-        census._local_tables.cache_clear()
+        reset_tables()
         calls.clear()
         assert run(capsys, *argv)[0] == 0
-        assert len(calls) == len(set(calls)) == 24, argv
+        assert len(calls) == len(set(calls)) == moves, argv
 
 
 def count_calls(monkeypatch, functions):
@@ -434,7 +436,7 @@ def test_default_alpha_api_matches_cli(capsys):
     # The API and the CLI pick the same default gluing letter (c on ef276c).
     code, out, _ = run(capsys, "invariants", "ef276c", "--stage", "cover")
     assert code == 0
-    assert out == kirby.invariant_report("cover", "ef276c").render() + "\n"
+    assert out == kirby.invariant_report("cover", stages.CodeStages("ef276c")).render() + "\n"
     pairings = census.build_pairings(census.parse_code("ef276c"))
     dc = cover.build_double_cover(pairings, census.orientation_character(pairings))
     assert dc.alpha == "c"

@@ -1,6 +1,6 @@
 import pytest
 
-from cell24 import groups, kirby
+from cell24 import groups, kirby, stages
 from cell24.groups import word_from_str
 from cell24.kirby import (
     BookkeepingError,
@@ -210,33 +210,34 @@ def test_svg_deterministic_and_labelled(filled_cover_diagram):
 
 
 def test_invariant_reports():
-    base = kirby.invariant_report("base")
+    code = stages.CodeStages("146928")
+    base = kirby.invariant_report("base", code)
     assert base.euler_characteristic == 1
     assert base.group_order is None
     assert not base.orientable
 
-    cov = kirby.invariant_report("cover")
+    cov = kirby.invariant_report("cover", code)
     assert cov.euler_characteristic == 2
     assert cov.orientable
 
-    filled = kirby.invariant_report("filled")
+    filled = kirby.invariant_report("filled", code)
     assert filled.euler_characteristic is None
     assert filled.h1_torsion == (2, 2) and filled.h1_rank == 0
     assert filled.group_order == 4
 
-    fc = kirby.invariant_report("filled_cover")
+    fc = kirby.invariant_report("filled_cover", code)
     assert fc.euler_characteristic == 2
     assert fc.h1_torsion == (2,) and fc.h1_rank == 0
     assert fc.group_order == 2
 
-    top = kirby.invariant_report("degree2_of_filled_cover")
+    top = kirby.invariant_report("degree2_of_filled_cover", code)
     assert top.euler_characteristic == 4
     assert top.h1_torsion == () and top.h1_rank == 0
     assert top.group_order == 1
     assert "S^2 x S^2" in top.candidate_remark
 
     with pytest.raises(kirby.KirbyError):
-        kirby.invariant_report("nonsense")
+        kirby.invariant_report("nonsense", code)
 
 
 def counting_todd_coxeter(monkeypatch):
@@ -254,9 +255,9 @@ def counting_todd_coxeter(monkeypatch):
 def test_unfilled_stages_are_not_enumerated(code, monkeypatch):
     # The base and cover groups are infinite whatever H1 is (a9e1d6 has
     # finite H1 on both), so their order is None with no enumeration.
-    calls, ranks = counting_todd_coxeter(monkeypatch), []
+    calls, ranks, built = counting_todd_coxeter(monkeypatch), [], stages.CodeStages(code)
     for stage in ("base", "cover"):
-        report = kirby.invariant_report(stage, code, max_cosets=50)
+        report = kirby.invariant_report(stage, built, max_cosets=50)
         assert report.group_order is None
         assert "group order = inconclusive," in report.render()
         ranks.append(report.h1_rank)
@@ -265,14 +266,14 @@ def test_unfilled_stages_are_not_enumerated(code, monkeypatch):
 
 
 def test_filled_stages_enumerate_once_within_max_cosets(monkeypatch):
-    calls = counting_todd_coxeter(monkeypatch)
-    orders = [kirby.invariant_report(stage, max_cosets=5_000).group_order
+    calls, code = counting_todd_coxeter(monkeypatch), stages.CodeStages("146928")
+    orders = [kirby.invariant_report(stage, code, max_cosets=5_000).group_order
               for stage in ("filled", "filled_cover", "degree2_of_filled_cover")]
     assert orders == [4, 2, 1]
     assert calls == [5_000] * 3
 
 
 def test_report_render():
-    text = kirby.invariant_report("filled").render()
+    text = kirby.invariant_report("filled", stages.CodeStages("146928")).render()
     assert "Z/2 + Z/2" in text
     assert "order = 4" in text

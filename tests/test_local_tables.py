@@ -1,14 +1,16 @@
 """The census assembles a code's ridge cycles from per-family-pair tables and
 its edge-face orbits from per-family-triple tables, filled lazily by the
-whole-domain engine restricted to each table's states or faces.  These tests
-pin the premise the tables rest on, their shape, and their agreement with the
-whole-domain engine, errors included."""
+whole-domain engine restricted to each table's states or faces, for the
+lists ``build_pairings`` makes; every other list goes to the whole-domain
+engine.  These tests pin the premise the tables rest on, their shape, and
+their agreement with the whole-domain engine, errors included."""
 
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -96,7 +98,7 @@ def test_family_pairs_and_triples():
     triples = Counter(frozenset(side_family(poly, s) for s in f.sides) for f in poly.edge_faces)
     assert all(len(families) == 3 for families in triples)
     assert sorted(triples.values()) == [8] * 4 + [16] * 4
-    _family, _records, _known, by_kind, _values = census._local_tables(poly)
+    by_kind, _values = census._local_tables(poly)
     assert sorted(len(layout) for _f, _key, layout, _entries in by_kind["pairs"]) == [16] * 12
     assert sorted(len(layout) for _f, _key, layout, _entries in by_kind["triples"]) == (
         [8] * 4 + [16] * 4
@@ -105,12 +107,15 @@ def test_family_pairs_and_triples():
 
 def test_tables_start_empty_and_fill_lazily():
     poly = Polytope24()
-    _family, records, _known, by_kind, values = census._local_tables(poly)
+    records, _by_ids = census._records(poly)
+    by_kind, values = census._local_tables(poly)
     entries = [e for kind in ("pairs", "triples") for _f, _key, _layout, e in by_kind[kind]]
     assert records == {} and values == {} and all(e == {} for e in entries)
+    # build_pairings makes the six family records, but reads no move.
     pairings = census.build_pairings(census.parse_code("146928"), poly)
-    census.ridge_cycles(pairings, poly)
     assert len(records) == 6
+    assert not any("steps" in vars(record) for record in records.values())
+    census.ridge_cycles(pairings, poly)
     assert [len(e) for _f, _key, _layout, e in by_kind["pairs"]] == [1] * 12
     assert all(e == {} for _f, _key, _layout, e in by_kind["triples"])
     census.edge_classes(pairings, poly)
@@ -138,23 +143,33 @@ def test_set_up_computes_no_table():
     assert result.stdout == "0\n"
 
 
-def test_corrupted_word_gets_its_own_entries(pairings):
-    # Entries are keyed by the ids of the families' exact pairings, never by
-    # digits or letters: a corrupted word of the same digit and letter gets
-    # a family record and entries of its own.
-    poly = build_polytope()
-    _family, records, _known, by_kind, _values = census._local_tables(poly)
+def test_lists_not_made_by_build_pairings_get_the_whole_domain_result():
+    # Only a list of the records' very pairings reaches the tables: a
+    # value-equal word, a corrupted word or another order adds no family
+    # record or table entry and gets the whole-domain engine's result.
+    poly = Polytope24()
+    pairings = census.build_pairings(census.parse_code("146928"), poly)
+    records, by_ids = census._records(poly)
+    by_kind, _values = census._local_tables(poly)
+
+    def sizes():
+        entries = [len(e) for kind in by_kind.values() for *_, e in kind]
+        return len(records), len(by_ids), entries
+
     census.ridge_cycles(pairings, poly)
-    before = len(records), sum(len(e) for _f, _key, _layout, e in by_kind["pairs"])
-    broken = list(pairings)
-    broken[1] = broken[1]._replace(word=MoebiusWord(pairings[1].word.matrix))
-    assert census.ridge_cycles(broken, poly) == census.ridge_cycles(pairings, poly)
-    assert (len(records), sum(len(e) for *_, e in by_kind["pairs"])) == before
-    broken[0] = broken[0]._replace(word=pairings[1].word)
+    census.edge_classes(pairings, poly)
+    before = sizes()
+    equal = list(pairings)
+    equal[1] = equal[1]._replace(word=MoebiusWord(pairings[1].word.matrix))
+    corrupted = list(pairings)
+    corrupted[0] = corrupted[0]._replace(word=pairings[1].word)
+    for listed in (equal, corrupted, pairings[::-1], pairings[:11], pairings + pairings[:1]):
+        assert_same_outcomes(listed, poly)
+        assert sizes() == before
+    assert table_cycles(equal, poly) == table_cycles(pairings, poly)
+    assert not any(c.letters for c in census.ridge_cycles(equal, poly))  # no table entry's
     with pytest.raises(PoincareViolation):
-        census.ridge_cycles(broken, poly)
-    assert len(records) == before[0] + 1
-    assert all(isinstance(i, int) for *_, e in by_kind["pairs"] for key in e for i in key)
+        census.ridge_cycles(corrupted, poly)
 
 
 @pytest.mark.parametrize("codes", ["sample_codes", "wide_codes", "seeded_codes"])
@@ -197,16 +212,16 @@ def test_cycles_keep_their_relator_isometries(sample_codes, wide_codes, seeded_c
     pairings = census.build_pairings(census.parse_code("146928"), poly)
     copies = [p._replace() for p in pairings]
     assert copies == pairings and not any(p is q for p, q in zip(copies, pairings))
-    cycles = census.ridge_cycles(copies, poly)
-    assert all(c is d for c, d in zip(cycles, census.ridge_cycles(pairings, poly)))
+    cycles = census.ridge_cycles(pairings, poly)
+    assert fields(census.ridge_cycles(copies, poly)) == fields(cycles)
     for c in cycles:
         before = len(calls)
         assert census.cycle_moebius_word(c, copies) == census.cycle_moebius_word(c, pairings)
         assert len(calls) == before + len(c.relator) - 1
-    # Lists in another order reach the same records and cycles, and a list
+    # Lists in another order get the same cycles and orbits, and a list
     # with the letters at other positions gets the fold.
     swapped = pairings[2:4] + pairings[:2] + pairings[4:]
-    assert census.ridge_cycles(swapped, poly) == cycles
+    assert fields(census.ridge_cycles(swapped, poly)) == fields(cycles)
     assert census.edge_classes(swapped, poly) == census.edge_classes(pairings, poly)
     shifted = pairings[6:]
     names = {p.letter for p in shifted}
@@ -225,7 +240,8 @@ def test_local_face_pairs_are_made_once_per_record_and_table(sample_codes, monke
     # the table; each record makes them on its first fill of the table, for
     # at most the 4 triple tables holding its family, and never again.
     poly = Polytope24()
-    family, records, _known, by_kind, _values = census._local_tables(poly)
+    records, _by_ids = census._records(poly)
+    by_kind, _values = census._local_tables(poly)
     calls, face_pairs = [], census._face_pairs
 
     def counting(steps, at, n):
@@ -236,19 +252,18 @@ def test_local_face_pairs_are_made_once_per_record_and_table(sample_codes, monke
     fill_triples(sample_codes, poly)
     made = len(calls)
     fill_triples(sample_codes, poly)
-    assert len(calls) == made == len(set(calls)) == sum(len(r[3]) for r in records.values())
+    assert len(calls) == made == len(set(calls)) == sum(len(r.faces) for r in records.values())
     triples = [families for families, *_ in by_kind["triples"]]
-    for group, record in records.items():
-        f = family[group[0].source.label]
-        assert 0 < len(record[3]) <= 4
-        assert set(record[3]) <= {families for families in triples if f in families}
+    for (f, _k), record in records.items():
+        assert 0 < len(record.faces) <= 4
+        assert set(record.faces) <= {families for families in triples if f in families}
 
 
 def test_triple_entries_are_one_object_per_partition(sample_codes, monkeypatch):
     # Entries of a triple table with the same orbits are one object, and a
     # fill builds orbit tuples only for a partition its table has not seen.
     poly = Polytope24()
-    _family, _records, _known, by_kind, _values = census._local_tables(poly)
+    by_kind, _values = census._local_tables(poly)
     built, orbits = [], census._orbits
 
     def counting(partition, members):
@@ -278,7 +293,7 @@ def test_each_distinct_trace_is_built_once(sample_codes, monkeypatch):
             continue
         passing.append(code)
     poly = Polytope24()
-    _family, _records, _known, by_kind, _values = census._local_tables(poly)
+    by_kind, _values = census._local_tables(poly)
     built, ridge_cycle = [], census._ridge_cycle
 
     def counting(states, nodes, arrows, wall=None):
@@ -296,31 +311,53 @@ def test_each_distinct_trace_is_built_once(sample_codes, monkeypatch):
     assert len({id(c) for entry in entries for _pos, c in entry}) == len(traces)
 
 
-@pytest.mark.parametrize("image", ["none", "outside"])
+@pytest.mark.parametrize("image", ["none"])
 def test_bad_face_image_fails_with_the_whole_domain_message(image):
-    # A move whose face image is None fails as on the whole domain; an image
-    # outside the face's triple is a face of the whole domain, so only the
-    # tables fail, with their own message.  Nothing is kept for the failing
-    # record: a second call fails the same way.
+    # A move whose face image is None fails as on the whole domain.  Nothing
+    # is kept for the failing record: a second call fails the same way.  (An
+    # image outside the face's triple cannot occur: see
+    # test_every_digit_family_fills_every_entry.)
     poly = Polytope24()
     pairings = census.build_pairings(census.parse_code("146928"), poly)
-    record = census._family_records(pairings, poly)[0]
-    name, _sign, _target, mv = next(step for step in record[1].values() if step[1] == 1)
-    face = min(mv.faces)
-    _family, _records, _known, by_kind, _values = census._local_tables(poly)
-    others = [i for _f, _key, layout, _e in by_kind["triples"] for _pos, i in layout
-              if face not in {j for _pos, j in layout}]
-    mv.faces[face] = None if image == "none" else others[0]
-    whole = outcome(whole_orbits, pairings, poly)
-    if image == "none":
-        want = ("PoincareViolation", f"pairing {name} maps an edge face off the face lattice")
-        assert whole == want
-    else:
-        want = ("PoincareViolation", f"pairing {name} maps an edge face out of its families")
-        assert isinstance(whole, list)
+    record = census._records(poly)[0][0, pairings[0].kpart]
+    name, _sign, _target, mv = next(step for step in record.steps.values() if step[1] == 1)
+    mv.faces[min(mv.faces)] = None
+    want = ("PoincareViolation", f"pairing {name} maps an edge face off the face lattice")
+    assert outcome(whole_orbits, pairings, poly) == want
     for _call in range(2):
         assert outcome(table_orbits, pairings, poly) == want
-        assert record[3] == {}
+        assert record.faces == {}
+
+
+def test_every_digit_family_fills_every_entry():
+    # The premise that lets the tables raise nothing of their own: the 72
+    # records, one per family and digit parse_code accepts, pair their
+    # family's four sides, and every combination of them fills every pair
+    # entry and every triple entry without raising (a move sending a side
+    # or an edge face out of the table's families would raise KeyError).
+    poly = Polytope24()
+    digits = [
+        [f"{d:x}" for d in range(1, 16) if any(d >> j & 1 for j in support)]
+        for _letters, support in census.FAMILIES
+    ]
+    for code in zip(*digits):
+        census.build_pairings(census.parse_code("".join(code)), poly)
+    records, _by_ids = census._records(poly)
+    by_family = [[r for (f, _k), r in records.items() if f == index] for index in range(6)]
+    assert [len(rs) for rs in by_family] == [12] * 6
+    for (index, _k), record in records.items():
+        assert {side_family(poly, label) for _sheet, label in record.steps} == {
+            census.FAMILIES[index][1]
+        }
+    by_kind, values = census._local_tables(poly)
+    filled = Counter()
+    for kind, fill in (("pairs", census._cycle_entry), ("triples", census._orbit_entry)):
+        for families, _key, layout, _entries in by_kind[kind]:
+            for chosen in product(*(by_family[f] for f in families)):
+                found = dict(zip(families, chosen))
+                assert len(fill(found, families, layout, poly, values)) > 0
+                filled[kind] += 1
+    assert filled == {"pairs": 1_728, "triples": 13_824}
 
 
 @pytest.fixture(scope="module")
@@ -353,10 +390,9 @@ def test_word_swaps_fail_as_whole_domain(code):
 
 def test_corrupted_families_fail_as_whole_domain(pairings):
     # Words that are products of two letters' words may move sides across
-    # families, and swapped targets pair sides of two families; the tables
-    # then give the whole-domain engine's outcome or a PoincareViolation,
-    # never an untyped exception.  Lists that are missing a pairing, repeat
-    # one or come in another order behave as on the whole domain.
+    # families, and swapped targets pair sides of two families; every such
+    # list, and lists that are missing a pairing, repeat one or come in
+    # another order, get the whole-domain engine's outcome.
     poly = build_polytope()
     for listed in (list(reversed(pairings)), pairings[1:], pairings + pairings[:1]):
         assert_same_outcomes(listed, poly)
@@ -371,11 +407,5 @@ def test_corrupted_families_fail_as_whole_domain(pairings):
             broken[i] = pairings[i]._replace(target=pairings[j].target)
             broken[j] = pairings[j]._replace(target=pairings[i].target)
             cases.append(broken)
-    crossed = 0
     for broken in cases:
-        for tabled, whole in ((table_cycles, whole_cycles), (table_orbits, whole_orbits)):
-            got, want = outcome(tabled, broken, poly), outcome(whole, broken, poly)
-            if got != want:
-                assert got[0] == "PoincareViolation", got
-                crossed += 1
-    assert crossed > 0
+        assert_same_outcomes(broken, poly)

@@ -151,11 +151,10 @@ def test_move_tables_match_moebius_evaluation(sample_codes):
             }
 
 
-def test_move_face_tables_match_point_oracle(sample_codes, monkeypatch):
+def test_move_face_tables_match_point_oracle(sample_codes, monkeypatch, reset_tables):
     # An edge face is the span of its two ideal vertices, so its image is
     # the edge face spanned by the oracle images of the two, or None.  Codes
     # sharing a digit share that family's Move objects, checked once.
-    census._local_tables.cache_clear()
     action, calls = Polytope24.action, []
     monkeypatch.setattr(
         Polytope24, "action", lambda self, *key: calls.append(key) or action(self, *key)
@@ -196,7 +195,7 @@ def test_move_face_tables_match_point_oracle(sample_codes, monkeypatch):
     # The family records are the only cache: one action per move of each
     # record, two pairings of two moves per usable digit, 4 * 45 = 180 at
     # most.
-    _family, records, _known, _tables, _values = census._local_tables(poly)
+    records, _by_ids = census._records(poly)
     assert len(calls) == 4 * len(records) == 4 * len(checked) <= 180
 
 
