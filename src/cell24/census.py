@@ -482,15 +482,10 @@ def ridge_cycles(pairings, polytope: Polytope24 | None = None):
 
 def word_isometry(word, pairings) -> MoebiusWord:
     """The isometry of a word over pairing names (SidePairing or cover
-    pairings), composed under the left-action convention.  A name's pairing
-    is at its ``LETTERS`` index among a code's twelve, else (cover pairings)
-    looked up by name."""
-    def word_of(sym):
-        i = LETTER_INDEX.get(sym, len(pairings))
-        if i < len(pairings) and pairings[i].name == sym:
-            return pairings[i].word
-        return {p.name: p.word for p in pairings}[sym]
-    return _fold(word, word_of)
+    pairings), composed under the left-action convention.  Each name's
+    word is looked up by name: the last pairing of a name wins, and no
+    caller passes a list that gives one name two different words."""
+    return _fold(word, {p.name: p.word for p in pairings}.__getitem__)
 
 
 def _fold(word, word_of) -> MoebiusWord:

@@ -8,12 +8,13 @@ stabilizer is a concrete rank-3 Bieberbach group acting by integer affine
 maps (``moebius.affine_parts``) on the horosphere lattice at its
 representative.  Those affine parts are computed once per stabilizer; the
 translation search composes them, and ``flat3.bieberbach_h1`` reads the
-holonomy, lattice and H1 of the cross-section off them.
+holonomy, lattice and H1 of the cross-section off them.  The published
+filling words are data in ``layout.FILLINGS``; each is validated here, at
+use, as a translation fixing a vertex of its class.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import flat3
@@ -34,18 +35,18 @@ from .groups import (
     word_sort_key,
     word_str,
 )
+from .layout import FILLINGS
 from .moebius import TRANSLATION, affine_parts, classify_parabolic
 from .polytope import SIDE_INDEX, build_polytope
 
 
 class CuspClass:
-    __slots__ = ("vertices", "representative", "tree", "tree_edges")
+    __slots__ = ("vertices", "representative", "tree")
 
-    def __init__(self, vertices, representative, tree, tree_edges):
+    def __init__(self, vertices, representative, tree):
         self.vertices = vertices              # class members, descending
         self.representative = representative  # lexicographically greatest member
-        self.tree = tree              # vertex index -> Word carrying it to the representative
-        self.tree_edges = tree_edges  # (vertex index, letter, sign) moves used by the tree
+        self.tree = tree  # vertex index -> Word carrying it to the representative
 
     def __len__(self):
         return len(self.vertices)
@@ -102,14 +103,11 @@ def vertex_classes(pairings):
         if start in seen:
             continue
         tree = {start: ()}
-        tree_edges = set()
         queue = [start]
         for u in queue:
             for letter, sign, w in _vertex_moves(u, moves, poly):
                 if w not in tree:
                     tree[w] = free_reduce(tree[u] + ((letter, -sign),))
-                    tree_edges.add((u, letter, sign))
-                    tree_edges.add((w, letter, -sign))
                     queue.append(w)
         seen.update(tree)
         classes.append(
@@ -117,7 +115,6 @@ def vertex_classes(pairings):
                 vertices=tuple(poly.vertices[i] for i in sorted(tree)),
                 representative=poly.vertices[start],
                 tree=tree,
-                tree_edges=frozenset(tree_edges),
             )
         )
     for c in classes:
@@ -131,8 +128,9 @@ def vertex_classes(pairings):
 def stabilizer_generators(cusp: CuspClass, pairings) -> CuspStabilizer:
     """Loop generators of the stabilizer of the class representative.
 
-    For each non-tree move v -> w the loop runs representative -> v (down the
-    tree), across the move, then w -> representative (up the tree).
+    For each move v -> w the loop runs representative -> v (down the tree),
+    across the move, then w -> representative (up the tree).  A tree move's
+    loop, and its reverse's, freely reduce to the empty word and are skipped.
     """
     poly = build_polytope()
     moves = moves_by_side(pairings, poly)
@@ -142,8 +140,6 @@ def stabilizer_generators(cusp: CuspClass, pairings) -> CuspStabilizer:
     seen_words = set()
     for v in sorted(tree):
         for letter, sign, w in _vertex_moves(v, moves, poly):
-            if (v, letter, sign) in cusp.tree_edges:
-                continue
             loop = word_mul(tree[w], ((letter, sign),), word_inverse(tree[v]))
             if not loop or loop in seen_words or word_inverse(loop) in seen_words:
                 continue
@@ -251,31 +247,6 @@ class NoPublishedData(CensusError):
     """Published filling data was asked for on a code it does not cover."""
 
 
-# Published filling words, keyed by code and then by class representative.
-# Each word is validated at use: it must fix a vertex of its class and act
-# there as a pure translation.
-REFERENCE_FILLING_WORDS = {
-    "146928": {
-        (1, 0, 0, 0): word_from_str("c"),
-        (0, 1, 0, 0): word_from_str("a"),
-        (0, 0, 1, 0): word_from_str("k"),
-        (0, 0, 0, 1): word_from_str("i"),
-        (Fraction(1, 2),) * 4: word_from_str("EheH"),
-    },
-}
-
-# The diagram-level moves replace i by the other translation j of the same
-# cusp, which keeps the attaching circles in coordinate planes.
-REFERENCE_FILLING_WORDS_DIAGRAM = {
-    "146928": {**REFERENCE_FILLING_WORDS["146928"], (0, 0, 0, 1): word_from_str("j")},
-}
-
-# Published alternates: equally valid filling translations of the same cusp.
-ALTERNATE_FILLING_WORDS = {
-    "146928": {(0, 0, 0, 1): (word_from_str("j"),)},
-}
-
-
 class ValidatedFilling(NamedTuple):
     cusp: CuspClass
     word: tuple
@@ -304,34 +275,34 @@ def _code_of(pairings) -> str:
     return print_code([p.kpart for p in pairings[::2]])
 
 
-def canonical_fillings(pairings, classes, for_diagram=False):
-    """The published filling words, validated against this code's classes.
+def canonical_fillings(pairings, classes):
+    """The published filling words (the first word of each cusp's entry in
+    ``layout.FILLINGS``), validated against this code's classes.
 
     Only the reference code has published fillings; any other code raises
     NoPublishedData."""
     code = _code_of(pairings)
-    tables = REFERENCE_FILLING_WORDS_DIAGRAM if for_diagram else REFERENCE_FILLING_WORDS
-    if code not in tables:
+    if code not in FILLINGS:
         raise NoPublishedData(f"no published filling words for code {code}")
-    table = tables[code]
+    table = FILLINGS[code]
     out = []
     for cls in classes:
         if cls.representative not in table:
             raise PoincareViolation(
                 f"no published filling word for cusp at {cls.representative}"
             )
-        out.append(
-            _validated_filling(cls, table[cls.representative], pairings, "filling word")
-        )
+        word = word_from_str(table[cls.representative][0])
+        out.append(_validated_filling(cls, word, pairings, "filling word"))
     return out
 
 
 def published_alternate_fillings(pairings, classes):
-    """Validated published alternates (e.g. j for the cusp filled along i);
-    none for a code without published alternates."""
-    table = ALTERNATE_FILLING_WORDS.get(_code_of(pairings), {})
+    """Validated published alternates (the remaining words of each cusp's
+    entry in ``layout.FILLINGS``, e.g. j for the cusp filled along i); none
+    for a code without published words."""
+    table = FILLINGS.get(_code_of(pairings), {})
     return [
-        _validated_filling(cls, word, pairings, "published alternate")
+        _validated_filling(cls, word_from_str(word), pairings, "published alternate")
         for cls in classes
-        for word in table.get(cls.representative, ())
+        for word in table.get(cls.representative, ())[1:]
     ]

@@ -23,12 +23,12 @@ denominator and a relator's translation is divided by it exactly.
 The decision table below stores the ten standard groups by the same recipe
 (holonomy matrices acting on Z^3 plus lift translations over a
 denominator), so runtime cusps and reference types are classified by one
-code path.  Tuples that match no reference entry, or more than one, come
-back as "ambiguous".
+code path.  Tuples that match no reference entry come back as "ambiguous".
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .groups import smith_normal_form
@@ -298,29 +298,13 @@ FLAT_TYPES = (
     ),
 )
 
-_TABLE = None
 
-
+@lru_cache(maxsize=None)
 def reference_table():
-    """(orientable, holonomy order, torsion, rank) -> standard label.
-
-    Keys that collide between reference types are dropped, so lookups on
-    them classify as ambiguous.
-    """
-    global _TABLE
-    if _TABLE is None:
-        table = {}
-        collided = set()
-        for t in FLAT_TYPES:
-            torsion, rank, order = t.invariants()
-            key = (t.orientable, order, torsion, rank)
-            if key in table:
-                collided.add(key)
-            table[key] = t.name
-        for key in collided:
-            del table[key]
-        _TABLE = table
-    return _TABLE
+    """(orientable, holonomy order, torsion, rank) -> standard label; the
+    ten reference types have ten distinct keys."""
+    return {(t.orientable, order, torsion, rank): t.name
+            for t in FLAT_TYPES for torsion, rank, order in [t.invariants()]}
 
 
 def classify_flat(orientable, holonomy_order, torsion, rank) -> str:

@@ -279,7 +279,11 @@ def assemble_diagram(code: str, want_cover=False, fill=False):
                          f"letter g, and code {text} glues its cover along {alpha}")
     dc, fills = code.double_cover, ()
     if fill:
-        words = [f.word for f in cusps.canonical_fillings(code.pairings, code.classes, True)]
+        # Each cusp's published alternate (its first) replaces its filling word.
+        words = code.base.fillings  # a code without published words fails here
+        alternate = {a.cusp.representative: a.word for a in reversed(
+            cusps.published_alternate_fillings(code.pairings, code.classes))}
+        words = [alternate.get(c.representative, w) for c, w in zip(code.classes, words)]
         lifted = cover_mod.lift_filling_words(words, dc)
         fills = [(f"fill-{groups.word_str(w)}", lw) for w, lw in zip(words, lifted)]
     return build_diagram("cover", code.cover, lambda side: cover_mod.cover_layout(side, dc), fills)

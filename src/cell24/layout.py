@@ -1,6 +1,7 @@
-"""Published reference data of the handle pictures, kept apart from the
-algorithms: R^3 layout coordinates (over Q(sqrt 2)) for the 24 side labels,
-the stage and panel names, and the shipped cancellation script.
+"""Published reference data, kept apart from the algorithms: the filling
+words of the reference code's cusps, R^3 layout coordinates (over
+Q(sqrt 2)) for the 24 side labels of the handle pictures, the stage and
+panel names, and the shipped cancellation script.
 
 The coordinates are the published positions of the 1-handle balls in the
 handle pictures; the exact Moebius normalisation producing them from
@@ -21,6 +22,20 @@ Z = (0, 0)
 R, NR = (0, H), (0, -H)          # +-1/sqrt(2)
 P1, NP1 = (1, 1), (-1, -1)       # +-(1 + sqrt(2))
 M1, NM1 = (-1, 1), (1, -1)       # +-(-1 + sqrt(2))
+
+# Filling words by code and cusp representative, as strings (upper case =
+# inverse) that ``cusps`` validates at use: the filling word, then published
+# alternates.  The cover diagram fills along the alternate j, which keeps
+# its attaching circles in coordinate planes.
+FILLINGS = {
+    "146928": {
+        (1, 0, 0, 0): ("c",),
+        (0, 1, 0, 0): ("a",),
+        (0, 0, 1, 0): ("k",),
+        (0, 0, 0, 1): ("i", "j"),
+        (H, H, H, H): ("EheH",),
+    },
+}
 
 LAYOUT = {
     "A": (R, R, Z),

@@ -419,6 +419,16 @@ def test_reference_only_fillings_on_another_code(capsys):
     assert err == "error: no published filling words for code ef276c\n"
 
 
+def test_cover_fill_without_published_words(capsys):
+    # 2bec36 is a manifold that glues its cover along g, so the cover
+    # diagram is laid out; it has no published filling words, so filling
+    # it, on the base or on the cover, is a one-line domain error.
+    for argv in ("kirby 2bec36 --cover --fill", "trace 2bec36 --script m35-cover-fill",
+                 "kirby 2bec36 --fill"):
+        assert run(capsys, *argv.split()) == (
+            1, "", "error: no published filling words for code 2bec36\n"), argv
+
+
 def test_default_alpha_from_the_code(capsys):
     # g preserves orientation on ef276c; its first reversing letter is c.
     code, out, _ = run(capsys, "cover", "ef276c")

@@ -104,6 +104,8 @@ def test_fresh_process_report_directory_is_unchanged(tmp_path):
     (["cycles", REF, "-o", "/nonexistent/dir/out"],
      2, "usage error: cannot write"),
     (["cusps", "112124"], 1, "error: not a manifold gluing"),
+    (["kirby", "2bec36", "--cover", "--fill"], 1,
+     "error: no published filling words for code 2bec36\n"),
     (["validate", "046928"], 1, ""),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_fresh_process_errors(argv, status, prefix):

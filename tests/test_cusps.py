@@ -6,7 +6,7 @@ import pytest
 import moebius_oracle as oracle
 import reference_tables as rt
 from cell24 import census, cusps, flat3
-from cell24.groups import word_from_str, word_inverse, word_mul, word_str
+from cell24.groups import free_reduce, word_from_str, word_inverse, word_mul, word_str
 from cell24.moebius import (
     TRANSLATION,
     affine_parts,
@@ -54,6 +54,47 @@ def test_stabilizer_generators_fix_representative(pairings, stabilizers):
         for word, moebius in stab.generators:
             assert oracle.word_point(word, pairings, rep) == rep
             assert moebius == census.word_isometry(word, pairings)
+
+
+def explicit_tree_rule_generators(cls, pairings):
+    """Stabilizer generator words built with the tree's own moves skipped
+    explicitly: the class's spanning tree is rebuilt in ``vertex_classes``'
+    order, recording each tree move and its reverse, and only the other
+    moves give loops."""
+    poly = build_polytope()
+    moves = census.moves_by_side(pairings, poly)
+    rep = min(cls.tree)
+    tree, tree_moves, queue = {rep: ()}, set(), [rep]
+    for u in queue:
+        for letter, sign, w in cusps._vertex_moves(u, moves, poly):
+            if w not in tree:
+                tree[w] = free_reduce(tree[u] + ((letter, -sign),))
+                tree_moves |= {(u, letter, sign), (w, letter, -sign)}
+                queue.append(w)
+    assert tree == cls.tree
+    words = []
+    for v in sorted(tree):
+        for letter, sign, w in cusps._vertex_moves(v, moves, poly):
+            if (v, letter, sign) in tree_moves:
+                continue
+            loop = word_mul(tree[w], ((letter, sign),), word_inverse(tree[v]))
+            if loop and loop not in words and word_inverse(loop) not in words:
+                words.append(loop)
+    return words
+
+
+def test_tree_moves_add_no_generators(sample_codes):
+    # A tree move's loop, and its reverse's, freely reduce to the empty
+    # word, so skipping them explicitly changes no generator or its order.
+    codes = ["146928", "ef276c", "2bec36"] + [c for c in sample_codes if census.validate(c).ok]
+    sizes = set()
+    for code in codes:
+        pairings = census.build_pairings(census.parse_code(code))
+        for cls in cusps.vertex_classes(pairings):
+            got = [w for w, _ in cusps.stabilizer_generators(cls, pairings).generators]
+            assert got == explicit_tree_rule_generators(cls, pairings), (code, cls.representative)
+            sizes.add(len(cls))
+    assert len(codes) > 10 and 16 in sizes
 
 
 def test_letter_a_in_stabilizer(stabilizers):
