@@ -364,17 +364,6 @@ def _trace(start, steps, poly):
     return states, nodes, arrows
 
 
-def trace_cycle_from(start, domain: Domain, polytope: Polytope24 | None = None):
-    """Trace one ridge cycle of a domain from an explicit (active, passive)
-    pair of formal sides; returns (nodes, arrows) in printing order."""
-    poly = polytope or build_polytope()
-    (sheet_a, a), (sheet_p, p) = start
-    if sheet_a != sheet_p or not poly.adjacent(a, p):
-        raise ValueError(f"start pair {start} is not a ridge")
-    _states, nodes, arrows = _trace(start, domain.steps, poly)
-    return tuple(nodes), tuple(arrows)
-
-
 def _canonical_traces(steps, poly, starts):
     """(position, trace) of each ridge cycle, traced from its canonical start.
 

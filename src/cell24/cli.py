@@ -11,8 +11,7 @@ panels plus the JSON document into its --output directory.
 
 Only cover and invariants take --alpha, and invariants checks it on every
 stage, base and filled too; kirby --cover and trace glue along the default
-of ``cover.gluing_letter``, and fail (a domain error) on a code whose
-default is not g, the one letter the layout recipe is defined for.
+of ``cover.gluing_letter``.
 invariants --max-cosets bounds the enumeration of the filled stages only.
 
 Exit codes: 0 success, 1 domain error (invalid code, failed condition,
@@ -174,8 +173,7 @@ def cmd_cusps(args):
                 "label": inv.label,
             }
         )
-        rep = "(" + ",".join(str(x) for x in cls.representative) + ")"
-        lines.append(f"  cusp at {rep} ({len(cls)} vertices)")
+        lines.append(f"  cusp at {cusps.point_text(cls.representative)} ({len(cls)} vertices)")
         lines.append(f"    stabilizer generators: {len(stab.generators)}")
         if choice.chosen:
             alts = ", ".join(groups.word_str(w) for w in choice.alternates) or "none"
@@ -190,10 +188,10 @@ def cmd_cusps(args):
             f"label {inv.label}"
         )
     for alt in alternates:
-        rep = "(" + ",".join(str(x) for x in alt.cusp.representative) + ")"
         lines.append(
             f"  published alternate translation {groups.word_str(alt.word)} for the "
-            f"cusp at {rep} (valid: fixes a class vertex, pure translation)"
+            f"cusp at {cusps.point_text(alt.cusp.representative)} (valid: fixes a class "
+            "vertex, pure translation)"
         )
     return 0, doc, "\n".join(lines)
 

@@ -5,22 +5,25 @@ Bookkeeping follows the doubled fundamental domain literally: the copies
 are sheets 0 (the base copy) and 1 (the transformed copy), every base side
 exists on both sheets (48 formal sides, 192 ridges), and the gluing wall is
 the degenerate pairing of the chosen letter whose word is the identity.
-This module only builds the two-sheet domain from the 24 cover pairings;
-its ridge cycles and edge-face orbits come from census's sheeted-domain
-engine, which moves base labels exactly as in the single polytope while
-the sheet flips at every orientation-reversing letter.
+This module only builds the two-sheet domain from the 24 cover pairings,
+and lays out its sides for the handle pictures; its ridge cycles and
+edge-face orbits come from census's sheeted-domain engine, which moves
+base labels exactly as in the single polytope while the sheet flips at
+every orientation-reversing letter.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations, product
 from typing import NamedTuple
 
 from . import census, groups
 from .census import LETTERS, GluingLetterError, eps_of_word, word_isometry
 from .groups import double_cover_generator_names, word_inverse, word_mul
-from .layout import LAYOUT, reflect_x
 from .moebius import MoebiusWord
-from .polytope import SIDE_ORDER, build_polytope
+from .polytope import SIDE_CENTERS, SIDE_ORDER, build_polytope
 
 CoverSide = tuple  # (sheet, base side label)
 
@@ -54,14 +57,11 @@ class DoubleCover(NamedTuple):
     names: dict                # Reidemeister-Schreier name per (sheet, letter)
     domain: census.Domain      # the two-sheet step table
 
-    def wall_pairing(self) -> CoverPairing:
-        return next(p for p in self.pairings if p.rule == "wall")
-
 
 def gluing_letter(eps, alpha: str | None = None) -> str:
     """``alpha``, checked to reverse orientation.  None means the default:
-    g when it reverses orientation (the letter the layout recipe is defined
-    for), else the first reversing letter in a..l."""
+    g when it reverses orientation, else the first reversing letter in
+    a..l."""
     if alpha is None:
         alpha = next((x for x in ("g",) + LETTERS if eps.get(x) == -1), None)
         if alpha is None:
@@ -146,18 +146,51 @@ def lift_filling_words(base_words, cover: DoubleCover):
     return out
 
 
+# The doubled-domain copy is laid out by reflecting across the plane x = 3,
+# which lies to the right of every base position; the copy's y-z plane is
+# the mirror plane x = 6.
+MIRROR_X = (6, 0)
+
+
+def reflect_x(pos):
+    (a, b), y, z = pos
+    return ((6 - a, -b), y, z)
+
+
+def position(center):
+    """The 1-handle position of the side with centre c: the stereographic
+    projection c1..3 / (sqrt 2 - c4) of its unit normal c / sqrt 2 from e4.
+    A coordinate a + b sqrt 2 is the exact rational pair (a, b), unique as
+    sqrt 2 is irrational.  Since c4 is 0 or +-1, and 1 / sqrt 2 = sqrt 2 / 2,
+    1 / (sqrt 2 -+ 1) = +-1 + sqrt 2, a coordinate x of c1..3 gives (0, x/2)
+    or (c4 x, x)."""
+    *xyz, c4 = center
+    return tuple((0, Fraction(x, 2)) if c4 == 0 else (c4 * x, x) for x in xyz)
+
+
+@lru_cache(maxsize=None)
+def _toward_g(center):
+    """sigma, the first signed coordinate permutation that sends ``center``
+    to side G's, as (perm, signs) acting by c -> (signs[i] * c[perm[i]]):
+    permutations in ``itertools.permutations`` order, then sign vectors in
+    ``itertools.product((1, -1), repeat=4)`` order.  It fixes G's centre."""
+    g = SIDE_CENTERS["G"]
+    return next((perm, signs) for perm in permutations(range(4))
+                for signs in product((1, -1), repeat=4)
+                if all(s * center[i] == gi for s, i, gi in zip(signs, perm, g)))
+
+
 def cover_layout(side: CoverSide, cover: DoubleCover):
-    """Layout position of a cover side: base table on sheet 0; on sheet 1
-    apply the gluing letter's sign-diagonal to the base label, then reflect
-    across the fixed plane right of the wall."""
-    if cover.alpha != "g":
-        raise ValueError("layout recipe is defined for the letter g")
+    """Layout position of the cover side (sheet, label) with centre c, for
+    a cover glued along x with sign diagonal k: ``position(sigma c)`` on
+    sheet 0, and the mirror image ``reflect_x(position(sigma k c))`` on
+    sheet 1, where sigma (``_toward_g``) sends x's source side to G.  For
+    x = g, sigma is the identity."""
     sheet, label = side
-    if sheet == 0:
-        return LAYOUT[label]
-    kpart = next(p.kpart for p in cover.base_pairings if p.letter == cover.alpha)
-    poly = build_polytope()
-    center = poly.sides[label].center
-    flipped = tuple(s * c for s, c in zip(kpart, center))
-    twin = next(lab for lab, s in poly.sides.items() if s.center == flipped)
-    return reflect_x(LAYOUT[twin])
+    x = next(p for p in cover.base_pairings if p.letter == cover.alpha)
+    perm, signs = _toward_g(x.source.center)
+    c = SIDE_CENTERS[label]
+    if sheet:
+        c = tuple(k * ci for k, ci in zip(x.kpart, c))
+    pos = position(tuple(s * c[i] for s, i in zip(signs, perm)))
+    return reflect_x(pos) if sheet else pos

@@ -270,6 +270,12 @@ def _validated_filling(cls: CuspClass, word, pairings, what) -> ValidatedFilling
     return ValidatedFilling(cusp=cls, word=word, fixed_vertex=fixed, classification=kind)
 
 
+def point_text(v) -> str:
+    """An ideal vertex as printed and as ``layout.FILLINGS`` keys it, e.g.
+    ``(1/2,1/2,1/2,1/2)``."""
+    return "(" + ",".join(str(x) for x in v) + ")"
+
+
 def _code_of(pairings) -> str:
     # Two pairings per family, in family order, sharing the family's k.
     return print_code([p.kpart for p in pairings[::2]])
@@ -287,11 +293,10 @@ def canonical_fillings(pairings, classes):
     table = FILLINGS[code]
     out = []
     for cls in classes:
-        if cls.representative not in table:
-            raise PoincareViolation(
-                f"no published filling word for cusp at {cls.representative}"
-            )
-        word = word_from_str(table[cls.representative][0])
+        point = point_text(cls.representative)
+        if point not in table:
+            raise PoincareViolation(f"no published filling word for cusp at {point}")
+        word = word_from_str(table[point][0])
         out.append(_validated_filling(cls, word, pairings, "filling word"))
     return out
 
@@ -304,5 +309,5 @@ def published_alternate_fillings(pairings, classes):
     return [
         _validated_filling(cls, word_from_str(word), pairings, "published alternate")
         for cls in classes
-        for word in table.get(cls.representative, ())[1:]
+        for word in table.get(point_text(cls.representative), ())[1:]
     ]

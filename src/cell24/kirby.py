@@ -19,12 +19,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import census, cover as cover_mod, cusps, groups, stages
+from .cover import MIRROR_X
 # SHIPPED_SCRIPTS is re-exported: the trace tests read kirby.SHIPPED_SCRIPTS.
-from .layout import LAYOUT, MIRROR_X, PANELS, SHIPPED_SCRIPTS, STAGES, Z
-from .polytope import SIDE_INDEX
+from .layout import PANELS, SHIPPED_SCRIPTS, STAGES
+from .polytope import SIDE_CENTERS, SIDE_INDEX
 
-# The coordinate that vanishes on each plane panel.
+# The coordinate that vanishes on each plane panel, and its value there.
 PANEL_AXIS = {"xy": 2, "xz": 1, "yz": 0}
+Z = (0, 0)
 
 
 class KirbyError(census.CensusError):
@@ -266,26 +268,25 @@ def simplification_trace(d: KirbyDiagram, script) -> TraceResult:
 
 def assemble_diagram(code: str, want_cover=False, fill=False):
     """Build the requested diagram for a code, which must give a manifold
-    gluing.  The cover is glued along ``cover.gluing_letter``'s default,
-    which must be g, the one letter the layout recipe is defined for."""
-    text, code = code, stages.CodeStages(code)
-    alpha = cover_mod.gluing_letter(code.eps) if want_cover else None  # a usage error first
+    gluing.  The cover is glued along ``cover.gluing_letter``'s default."""
+    code = stages.CodeStages(code)
+    if want_cover:
+        cover_mod.gluing_letter(code.eps)  # a usage error first
     code.manifold  # the gluing checks
     if not want_cover:
         fills = [(f"fill-{groups.word_str(w)}", w) for w in code.base.fillings] if fill else ()
-        return build_diagram("base", code.base, lambda side: LAYOUT[side[1]], fills)
-    if alpha != "g":
-        raise KirbyError(f"the cover diagram's layout recipe is defined for the gluing "
-                         f"letter g, and code {text} glues its cover along {alpha}")
-    dc, fills = code.double_cover, ()
+        return build_diagram("base", code.base,
+                             lambda side: cover_mod.position(SIDE_CENTERS[side[1]]), fills)
+    fills = ()
     if fill:
         # Each cusp's published alternate (its first) replaces its filling word.
         words = code.base.fillings  # a code without published words fails here
         alternate = {a.cusp.representative: a.word for a in reversed(
             cusps.published_alternate_fillings(code.pairings, code.classes))}
         words = [alternate.get(c.representative, w) for c, w in zip(code.classes, words)]
-        lifted = cover_mod.lift_filling_words(words, dc)
+        lifted = cover_mod.lift_filling_words(words, code.double_cover)
         fills = [(f"fill-{groups.word_str(w)}", lw) for w, lw in zip(words, lifted)]
+    dc = code.double_cover
     return build_diagram("cover", code.cover, lambda side: cover_mod.cover_layout(side, dc), fills)
 
 

@@ -186,8 +186,8 @@ def test_report_directory_on_stdout_is_a_usage_error(capsys, tmp_path, monkeypat
     ["trace", "146928", "--script", "m35-cover-fill", "--alpha", "g"],
 ])
 def test_alpha_only_on_cover_and_invariants(capsys, argv):
-    # The diagram layout is defined for g alone, which is the default letter
-    # whenever it reverses orientation, so kirby and trace take no --alpha.
+    # kirby and trace glue along the default letter, g whenever it reverses
+    # orientation, so they take no --alpha.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -322,14 +322,15 @@ def test_subcommands_read_only_the_stage_parts_they_print(capsys, monkeypatch, a
     assert {name: calls[name] for name in want} == want
 
 
-def test_cover_diagram_needs_the_gluing_letter_g(capsys, monkeypatch):
-    # ef276c glues its cover along c, for which the layout recipe is not
-    # defined: a domain error naming the letter, before the cover is built.
+def test_cover_diagram_for_any_gluing_letter(capsys, monkeypatch):
+    # ef276c glues its cover along c: its cover diagram is laid out, and
+    # trace fails only for want of filling words, before the cover is built.
+    code, out, err = run(capsys, "kirby", "ef276c", "--cover")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "cover diagram for ef276c"
     calls = count_calls(monkeypatch, [(cover, "build_double_cover")])
-    for argv in ("kirby ef276c --cover", "trace ef276c --script m35-cover-fill"):
-        assert run(capsys, *argv.split()) == (1, "", (
-            "error: the cover diagram's layout recipe is defined for the gluing letter g, "
-            "and code ef276c glues its cover along c\n")), argv
+    assert run(capsys, "trace", "ef276c", "--script", "m35-cover-fill") == (
+        1, "", "error: no published filling words for code ef276c\n")
     assert calls == {}
 
 
@@ -420,9 +421,9 @@ def test_reference_only_fillings_on_another_code(capsys):
 
 
 def test_cover_fill_without_published_words(capsys):
-    # 2bec36 is a manifold that glues its cover along g, so the cover
-    # diagram is laid out; it has no published filling words, so filling
-    # it, on the base or on the cover, is a one-line domain error.
+    # 2bec36 is a manifold, so its cover diagram is laid out; it has no
+    # published filling words, so filling it, on the base or on the cover,
+    # is a one-line domain error.
     for argv in ("kirby 2bec36 --cover --fill", "trace 2bec36 --script m35-cover-fill",
                  "kirby 2bec36 --fill"):
         assert run(capsys, *argv.split()) == (

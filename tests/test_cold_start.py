@@ -122,6 +122,12 @@ def test_error_exit_runs_no_module_the_command_did_not():
     assert json.loads(proc.stdout) == [1, sorted(GLUING | {"stages"})]
 
 
+def test_layout_imports_nothing():
+    # The parser reads the vocabularies off layout, so it stays data only.
+    proc = python("-c", "import sys; import cell24.layout; print('fractions' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr.decode()
+
+
 TRACER_PROBE = (
     "import json, sys, types\n"
     "import cell24.cli\n"

@@ -7,13 +7,18 @@ import reference_tables as rt
 from conftest import side_vertices
 from cell24 import census, cover, groups
 from cell24.groups import word_from_str
+from cell24.polytope import SIDE_CENTERS
+
+
+def wall_pairing(dc):
+    return next(p for p in dc.pairings if p.rule == "wall")
 
 
 def test_cover_structure(double_cover):
     assert len(double_cover.boundary_sides) == 46
     nontrivial = [p for p in double_cover.pairings if p.rule != "wall"]
     assert len(nontrivial) == 23
-    wall = double_cover.wall_pairing()
+    wall = wall_pairing(double_cover)
     assert wall.name == "g⁻¹g"
     assert wall.word.is_identity()
     assert wall.source == (0, "G") and wall.target == (1, "G'")
@@ -179,12 +184,13 @@ def test_cover_layout_injective_and_mirrored(double_cover):
         assert left_of_mirror(*pos[0]) == (sheet == 0)
 
 
-def test_base_layout_table_matches_published():
-    from cell24.layout import LAYOUT
-
-    for label, (_center, coords) in rt.SIDE_TABLE.items():
+def test_position_formula_matches_published():
+    # The published 1-handle positions are the reference the formula must
+    # equal on every side.
+    for label, (center, coords) in rt.SIDE_TABLE.items():
+        assert SIDE_CENTERS[label] == center
         expected = tuple((Fraction(a), Fraction(b)) for a, b in coords)
-        assert LAYOUT[label] == expected
+        assert cover.position(center) == expected, label
 
 
 def test_cover_edge_classes(double_cover):
@@ -222,11 +228,14 @@ def test_cover_edge_classes(double_cover):
 
 
 def test_other_reversing_letters_build(pairings, eps):
-    # Covers over e, f, h are supported structurally (not layout).
     dc = cover.build_double_cover(pairings, eps, "e")
     cycles = cover.cover_ridge_cycles(dc)
     assert len(cycles) == 48
     pres = cover.cover_presentation(dc, cycles)
     assert len(pres.generators) == 23
-    with pytest.raises(ValueError):
-        cover.cover_layout((0, "A"), dc)
+    # The layout moves e's source side E to G, and mirrors the wall.
+    wall = wall_pairing(dc)
+    assert wall.source == (0, "E")
+    assert cover.cover_layout(wall.source, dc) == cover.position(SIDE_CENTERS["G"])
+    assert cover.cover_layout(wall.target, dc) == cover.reflect_x(cover.position(SIDE_CENTERS["G"]))
+    assert len({cover.cover_layout(side, dc) for side in dc.sides}) == 48

@@ -125,6 +125,15 @@ def test_canonical_fillings_validate(pairings, cusp_classes):
         assert f.fixed_vertex in f.cusp.vertices
 
 
+def test_missing_cusp_word_names_the_cusp_as_printed(pairings, cusp_classes, monkeypatch):
+    from cell24 import layout
+
+    monkeypatch.delitem(layout.FILLINGS["146928"], "(1/2,1/2,1/2,1/2)")
+    with pytest.raises(census.PoincareViolation) as exc:
+        cusps.canonical_fillings(pairings, cusp_classes)
+    assert str(exc.value) == "no published filling word for cusp at (1/2,1/2,1/2,1/2)"
+
+
 def test_published_alternate_j(pairings, cusp_classes):
     alts = cusps.published_alternate_fillings(pairings, cusp_classes)
     assert len(alts) == 1

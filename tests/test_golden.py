@@ -47,6 +47,7 @@ INVOCATIONS = {
     "cusps-2bec36": ["cusps", "2bec36"],
     "cycles-112124": ["cycles", "112124"],
     "kirby-ef276c": ["kirby", "ef276c"],
+    "kirby-ef276c-cover": ["kirby", "ef276c", "--cover"],
     "cover-ef276c": ["cover", "ef276c"],
     "validate-a5e164": ["validate", "a5e164"],
     "invariants-a9e1d6-base": ["invariants", "a9e1d6", "--stage", "base"],
@@ -58,6 +59,7 @@ JSON_VARIANTS = (
     "invariants-filled", "invariants-filled_cover", "invariants-degree2_of_filled_cover",
     "kirby", "kirby-fill", "kirby-cover", "kirby-cover-fill", "trace",
     "invariants-a9e1d6-base", "invariants-a9e1d6-cover", "cycles-112124", "kirby-ef276c",
+    "kirby-ef276c-cover",
 )
 for _name in JSON_VARIANTS:
     INVOCATIONS[f"{_name}-json"] = INVOCATIONS[_name] + ["--format", "json"]
@@ -100,6 +102,10 @@ DIGESTS = {
     "kirby-cover-json": "21a642af3f1edab1f65a56b8b6b788def556fae965a85876e1943df32194946c",
     "kirby-ef276c": "62f95e86ef8266cff258e3bc61df91999b6e2ca331d160d04d0872a00ec296d1",
     "kirby-ef276c-json": "7af54bccd5be57fa332488f6215e1f03c5baae77ebd8592cd6d24a6751ae41aa",
+    # ef276c glues its cover along c: the JSON pins the order in which the
+    # layout's signed permutation is chosen.
+    "kirby-ef276c-cover": "d4e81838a53aff3c1a2447e2655ef95e92e14161ad3db0e0b8a4d8e574d47805",
+    "kirby-ef276c-cover-json": "27139a6ea69308d48dbb4190ab9fe6338f8b686711df7d0f4a3249ae08370cf6",
     "kirby-fill": "9ca9dbb515b2a9db7efa6907caf68dcb19b3f187802c1546d44d96f6bd1689ef",
     "kirby-fill-json": "0ae4383bdf8702a55c53099fc66963d037c47813e7956b7f6c1419f52fce93ea",
     "kirby-json": "9eee43cf708981e3c704718f2de71d1a187b50a4f93f76024b0e814a8d789daf",

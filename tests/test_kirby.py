@@ -1,6 +1,8 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
-from cell24 import groups, kirby, stages
+from cell24 import census, cover, groups, kirby, stages
 from cell24.groups import word_from_str
 from cell24.kirby import (
     BookkeepingError,
@@ -14,7 +16,9 @@ from cell24.kirby import (
     diagram_presentation,
     simplification_trace,
 )
-from cell24.layout import LAYOUT
+from cell24.cover import position
+from cell24.layout import PANELS
+from cell24.polytope import SIDE_CENTERS
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +83,7 @@ def test_panel_recomputation_idempotent(filled_cover_diagram):
 
 
 def _toy_diagram():
-    z = LAYOUT["A"]
+    z = position(SIDE_CENTERS["A"])
     one = (
         OneHandle("x", ("X", "X'"), (z, z)),
         OneHandle("y", ("Y", "Y'"), (z, z)),
@@ -107,7 +111,7 @@ def test_cancel_pair_toy():
 
 
 def test_cancel_rewrites_through_inverse_occurrence():
-    z = LAYOUT["A"]
+    z = position(SIDE_CENTERS["A"])
     one = (
         OneHandle("x", ("X", "X'"), (z, z)),
         OneHandle("y", ("Y", "Y'"), (z, z)),
@@ -125,7 +129,7 @@ def test_cancel_rewrites_through_inverse_occurrence():
 def test_delete_trivial():
     d = _toy_diagram()
     assert delete_trivial(d) == d
-    z = LAYOUT["A"]
+    z = position(SIDE_CENTERS["A"])
     one = (OneHandle("y", ("Y", "Y'"), (z, z)),)
     two = (
         TwoHandle("once", 0, word_from_str("y"), None, "xy", "ridge"),
@@ -194,6 +198,26 @@ def test_json_roundtrip(filled_cover_diagram, base_diagram):
     assert kirby.json_text(filled_cover_diagram) == kirby.json_text(
         kirby.import_json(kirby.export_json(filled_cover_diagram))
     )
+
+
+# One manifold per default gluing letter.
+LETTER_CODES = {"a": "67adec", "c": "ef276c", "e": "e7cd64", "g": "f5632c", "i": "e1276c",
+                "k": "b4218c"}
+
+
+def test_cover_diagram_for_every_gluing_letter(sample_codes):
+    for letter, code in LETTER_CODES.items():
+        assert cover.gluing_letter(stages.CodeStages(code).eps) == letter
+    manifolds = [c for c in sample_codes if census.validate(c).ok]
+    assert len(manifolds) == 13
+    for code in list(LETTER_CODES.values()) + manifolds:
+        d = kirby.assemble_diagram(code, want_cover=True)
+        positions = [p for h in d.one_handles for p in h.positions]
+        assert len(positions) == len(set(positions)) == 48, code
+        assert kirby.import_json(kirby.export_json(d)) == d, code
+        for panel in PANELS:
+            svg = ET.fromstring(kirby.export_svg(d, panel))
+            assert svg.tag == "{http://www.w3.org/2000/svg}svg", (code, panel)
 
 
 def test_svg_deterministic_and_labelled(filled_cover_diagram):
