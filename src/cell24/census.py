@@ -10,9 +10,9 @@ regression test enforces it.
 
 Ridge cycles (2-handles) and edge-face orbits (3-handles) come from one
 engine over the step table of a sheeted domain (``Domain``): one-sheet steps
-fill a code's family pair and triple tables, and cover builds the two-sheet
-double cover.  Every domain's come in one form, over formal sides (sheet,
-label) and faces (sheet, vertex pair).
+fill a code's family pair and triple tables, and cover builds n-sheet
+covers, the double cover among them.  Every domain's come in one form,
+over formal sides (sheet, label) and faces (sheet, vertex pair).
 """
 
 from __future__ import annotations
@@ -267,29 +267,29 @@ class Domain(NamedTuple):
     (name, source, target).  ``steps`` maps every formal side to the move
     leaving it, (name, sign, image side, Move), where Move is the base move
     at the side's label: a pairing acts on the faces at its side the same
-    way on every sheet, and flips the sheet exactly when it reverses
-    orientation.  ``wall`` names the trivial pairing that glues two sheets
-    together; relators drop it.  The code's own polytope is the one-sheet
-    case (``base_domain``).
+    way on every sheet, and carries the side to its image side's sheet.
+    ``walls`` names the trivial pairings that glue the sheets together;
+    relators drop them.  The code's own polytope is the one-sheet case
+    (``base_domain``).
     """
 
     pairs: tuple
     steps: dict
-    wall: str | None = None
+    walls: tuple = ()
 
     @property
     def sheets(self) -> int:
         return len(self.steps) // len(SIDE_INDEX)
 
 
-def sheeted_domain(pairs, moves, wall=None) -> Domain:
+def sheeted_domain(pairs, moves, walls=()) -> Domain:
     """Domain of the pairings (name, source, target), given the base moves
     by side label."""
     steps = {}
     for name, source, target in pairs:
         steps[source] = (name, 1, target, moves[source[1]])
         steps[target] = (name, -1, source, moves[target[1]])
-    return Domain(tuple(pairs), steps, wall)
+    return Domain(tuple(pairs), steps, tuple(walls))
 
 
 def base_domain(pairings, polytope: Polytope24 | None = None) -> Domain:
@@ -304,7 +304,7 @@ class RidgeCycle:
     nodes[i] is the printable ordered side pair at step i (positional slots
     carried along from the start), arrows[i] the signed pairing applied
     there; the relator is the arrows composed under the left-action
-    convention (last arrow leftmost), without the wall pairing.  Sides are
+    convention (last arrow leftmost), without the wall pairings.  Sides are
     formal sides (sheet, label), on sheet 0 for the code's own cycles.
     """
 
@@ -385,8 +385,8 @@ def _canonical_traces(steps, poly, starts):
     return traces
 
 
-def _ridge_cycle(states, nodes, arrows, wall=None) -> RidgeCycle:
-    relator = groups.free_reduce(tuple(a for a in reversed(arrows) if a[0] != wall))
+def _ridge_cycle(states, nodes, arrows, walls=()) -> RidgeCycle:
+    relator = groups.free_reduce(tuple(a for a in reversed(arrows) if a[0] not in walls))
     ridges = frozenset(frozenset(s) for s in states)
     return RidgeCycle(tuple(nodes), tuple(arrows), relator, ridges)
 
@@ -395,7 +395,7 @@ def domain_cycles(domain: Domain, polytope: Polytope24 | None = None):
     """All ridge cycles of a domain, canonical and sorted by start state."""
     poly = polytope or build_polytope()
     return [
-        _ridge_cycle(states, nodes, arrows, domain.wall)
+        _ridge_cycle(states, nodes, arrows, domain.walls)
         for _pos, (states, nodes, arrows) in _canonical_traces(
             domain.steps, poly, enumerate(_ridge_states(poly, domain.sheets)))
     ]

@@ -56,8 +56,8 @@ def _lazy(name):
 
 
 _modules = {name: _lazy(name) for name in SUBMODULES}
-census, cusps, groups, kirby, layout, stages = (
-    _modules[n] for n in ("census", "cusps", "groups", "kirby", "layout", "stages")
+census, cover, cusps, groups, kirby, layout, stages = (
+    _modules[n] for n in ("census", "cover", "cusps", "groups", "kirby", "layout", "stages")
 )
 
 
@@ -209,14 +209,13 @@ def cmd_cover(args):
     lines = [
         f"double cover of {args.code} glued along {dc.alpha}: "
         f"{len(dc.boundary_sides)} boundary sides, "
-        f"{sum(1 for p in dc.pairings if p.rule != 'wall')} nontrivial pairings"
+        f"{len(dc.pairings) - len(dc.domain.walls)} nontrivial pairings"
     ]
     for p in dc.pairings:
         source, target = census.side_name(p.source), census.side_name(p.target)
-        doc["pairings"].append(
-            {"name": p.name, "source": source, "target": target, "rule": p.rule}
-        )
-        lines.append(f"  {p.name}: {source} -> {target}  [{p.rule}]")
+        rule = cover.rule(p, dc)
+        doc["pairings"].append({"name": p.name, "source": source, "target": target, "rule": rule})
+        lines.append(f"  {p.name}: {source} -> {target}  [{rule}]")
     lines.append(f"{len(cycles)} ridge cycles:")
     return 0, doc, "\n".join(lines + rows)
 

@@ -1,15 +1,15 @@
-"""Geometric orientable double cover: two polytope copies glued along the
-side of an orientation-reversing pairing letter.
+"""Geometric covers: n polytope copies (sheets) glued by the lifts of the
+base pairings under a transitive action of the base letters on the sheets,
+and the orientable double cover, glued along the side of an
+orientation-reversing letter, as its two-sheet case.
 
-Bookkeeping follows the doubled fundamental domain literally: the copies
-are sheets 0 (the base copy) and 1 (the transformed copy), every base side
-exists on both sheets (48 formal sides, 192 ridges), and the gluing wall is
-the degenerate pairing of the chosen letter whose word is the identity.
-This module only builds the two-sheet domain from the 24 cover pairings,
-and lays out its sides for the handle pictures; its ridge cycles and
-edge-face orbits come from census's sheeted-domain engine, which moves
-base labels exactly as in the single polytope while the sheet flips at
-every orientation-reversing letter.
+Bookkeeping follows the sheeted fundamental domain literally: every base
+side exists on every sheet (24n formal sides), and each wall is the
+degenerate lift whose word is the identity.  This module only builds the
+domain from the 12n lifts, and lays out a double cover's sides for the
+handle pictures; ridge cycles and edge-face orbits come from census's
+sheeted-domain engine, which moves base labels exactly as in the single
+polytope while each pairing moves the sheet by the action.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 from . import census, groups
-from .census import LETTERS, GluingLetterError, eps_of_word, word_isometry
-from .groups import double_cover_generator_names, word_inverse, word_mul
+from .census import LETTERS, GluingLetterError, word_isometry
 from .moebius import MoebiusWord
 from .polytope import SIDE_CENTERS, SIDE_ORDER, build_polytope
 
@@ -33,29 +32,24 @@ class CoverPairing(NamedTuple):
     source: CoverSide
     target: CoverSide
     word: MoebiusWord
-    base_word: tuple  # the lift as a word in the base pairings
-    rule: str  # preserving-base / preserving-copy / reversing-out /
-               # reversing-back / wall / wall-back
+    base_word: tuple  # the lift as a freely reduced word in the base pairings
+    letter: str       # the base letter it lifts
 
 
-# The printed rule of a lift by the kind of its base letter, indexed by the
-# sheet the lift leaves.
-RULES = {
-    "preserving": ("preserving-base", "preserving-copy"),
-    "reversing": ("reversing-out", "reversing-back"),
-    "wall": ("wall", "wall-back"),
-}
-
-
-class DoubleCover(NamedTuple):
-    alpha: str
-    pairings: tuple            # 24 CoverPairing, one trivial (the wall)
-    sides: tuple               # all 48 formal sides
-    boundary_sides: tuple      # the 46 true boundary sides
-    eps: dict                  # base orientation character
+class Cover(NamedTuple):
+    pairings: tuple        # CoverPairing per base letter and sheet, walls included
+    sides: tuple           # every formal side (sheet, label)
+    boundary_sides: tuple  # the formal sides no wall glues
     base_pairings: tuple
-    names: dict                # Reidemeister-Schreier name per (sheet, letter)
-    domain: census.Domain      # the two-sheet step table
+    action: dict           # base letter -> the sheet its lift from each sheet lands on
+    transversal: tuple     # T(s) per sheet s
+    lifts: dict            # groups.schreier_lifts of the base letters
+    domain: census.Domain  # the n-sheet step table
+
+    @property
+    def alpha(self) -> str:
+        """The letter of transversal word 1: a double cover's gluing letter."""
+        return self.transversal[1][0][0]
 
 
 def gluing_letter(eps, alpha: str | None = None) -> str:
@@ -72,78 +66,83 @@ def gluing_letter(eps, alpha: str | None = None) -> str:
     return alpha
 
 
-def build_double_cover(pairings, eps, alpha: str | None = None) -> DoubleCover:
-    """The doubled domain glued along ``gluing_letter(eps, alpha)``.
-
-    Sheet s is the copy T(s)^-1 P with transversal T = (1, alpha).  The lift
-    of a base letter x leaving sheet s lands on sheet s' = s xor [x reverses
-    orientation]; it is the base word T(s')^-1 x T(s), so every lift
-    preserves orientation, and it is named by the Reidemeister-Schreier
-    generator names.  The lift of alpha leaving sheet 0 is the degenerate
-    wall alpha^-1 alpha.
-    """
-    alpha = gluing_letter(eps, alpha)
-    names = double_cover_generator_names(tuple(p.letter for p in pairings), eps, alpha)
-    wall = f"{alpha}⁻¹{alpha}"
-    transversal = ((), ((alpha, 1),))
+def build_cover(pairings, action, transversal) -> Cover:
+    """The n-sheet domain of ``groups.schreier_lifts``: sheet s is the copy
+    T(s)^-1 P, the lift of base letter x leaving sheet s glues side
+    (s, source) to (action[x][s], target) by the isometry of its base word,
+    and each wall glues two sheets by the identity."""
+    lifts = groups.schreier_lifts([p.letter for p in pairings], action, transversal)
     cover_pairings = []
     for p in pairings:
-        x = p.letter
-        kind = "wall" if x == alpha else "preserving" if eps[x] == 1 else "reversing"
-        for sheet in (0, 1):
-            image = sheet ^ (eps[x] == -1)
-            base_word = word_mul(word_inverse(transversal[image]), ((x, 1),), transversal[sheet])
+        for s in range(len(transversal)):
+            name, word = lifts[p.letter, s]
             cover_pairings.append(CoverPairing(
-                names[(image, x)] or wall, (sheet, p.source.label), (image, p.target.label),
-                word_isometry(base_word, pairings), base_word, RULES[kind][sheet],
+                name, (s, p.source.label), (action[p.letter][s], p.target.label),
+                word_isometry(word, pairings), word, p.letter,
             ))
-    sides = tuple((sheet, label) for sheet in (0, 1) for label in SIDE_ORDER)
-    glued = next((p.source, p.target) for p in cover_pairings if p.name == wall)
-    return DoubleCover(
-        alpha=alpha,
+    walls = [p for p in cover_pairings if not p.base_word]
+    glued = {side for p in walls for side in (p.source, p.target)}
+    sides = tuple((s, label) for s in range(len(transversal)) for label in SIDE_ORDER)
+    return Cover(
         pairings=tuple(cover_pairings),
         sides=sides,
         boundary_sides=tuple(s for s in sides if s not in glued),
-        eps=dict(eps),
         base_pairings=tuple(pairings),
-        names=names,
+        action=dict(action),
+        transversal=tuple(transversal),
+        lifts=lifts,
         domain=census.sheeted_domain(
             [(p.name, p.source, p.target) for p in cover_pairings],
             census.moves_by_side(pairings, build_polytope()),
-            wall=wall,
+            tuple(p.name for p in walls),
         ),
     )
 
 
-def cover_ridge_cycles(cover: DoubleCover):
-    """All ridge cycles of the doubled domain, canonicalised and sorted."""
+def build_double_cover(pairings, eps, alpha: str | None = None) -> Cover:
+    """The two-sheet cover glued along ``gluing_letter(eps, alpha)``: the
+    action of eps (``groups.eps_action``) with transversal (1, alpha), so
+    every lift preserves orientation and the wall is alpha^-1 alpha."""
+    alpha = gluing_letter(eps, alpha)
+    return build_cover(pairings, groups.eps_action(eps), ((), ((alpha, 1),)))
+
+
+RULES = {
+    "preserving": ("preserving-base", "preserving-copy"),
+    "reversing": ("reversing-out", "reversing-back"),
+    "wall": ("wall", "wall-back"),
+}
+
+
+def rule(p: CoverPairing, cover: Cover) -> str:
+    """A double cover lift's printed rule (``RULES``): the kind of its base
+    letter, by the sheet the lift leaves."""
+    kind = ("wall" if p.letter == cover.alpha
+            else "preserving" if p.source[0] == p.target[0] else "reversing")
+    return RULES[kind][p.source[0]]
+
+
+def cover_ridge_cycles(cover: Cover):
+    """All ridge cycles of the cover's domain, canonicalised and sorted."""
     return census.domain_cycles(cover.domain)
 
 
-def cover_presentation(cover: DoubleCover, cycles) -> "groups.Presentation":
-    """Presentation read off the doubled domain and its ridge cycles: one
-    generator per nontrivial pairing, one relator per cover ridge cycle."""
+def cover_presentation(cover: Cover, cycles) -> "groups.Presentation":
+    """Presentation read off the cover's domain and its ridge cycles: one
+    generator per lift that is no wall, in ``schreier_lifts`` order, one
+    relator per cover ridge cycle."""
     return groups.Presentation(
-        generators=groups.double_cover_generators(cover.names),
+        generators=tuple(name for name, word in cover.lifts.values() if word),
         relators=tuple(c.relator for c in cycles),
     )
 
 
-def lift_filling_words(base_words, cover: DoubleCover):
-    """Rewrite base filling words over the cover generators.
-
-    Orientation-preserving single letters lift verbatim; mixed words pick up
-    the transversal letter, e.g. the length-four cusp word becomes the
-    four-factor product over the reversing generators.
-    """
-    out = []
-    for w in base_words:
-        if eps_of_word(w, cover.eps) != 1:
-            raise groups.GroupError(
-                f"filling word {groups.word_str(w)} is not orientation preserving"
-            )
-        out.append(groups.rs_rewrite(w, cover.eps, cover.alpha, cover.names))
-    return out
+def lift_filling_words(base_words, cover: Cover):
+    """Rewrite base filling words over the cover generators
+    (``groups.schreier_rewrite``; GroupError for a word not fixing sheet 0).
+    On a double cover, e.g., the length-four cusp word becomes the
+    four-factor product over the reversing generators."""
+    return [groups.schreier_rewrite(w, cover.action, cover.lifts) for w in base_words]
 
 
 # The doubled-domain copy is laid out by reflecting across the plane x = 3,
@@ -180,7 +179,7 @@ def _toward_g(center):
                 if all(s * center[i] == gi for s, i, gi in zip(signs, perm, g)))
 
 
-def cover_layout(side: CoverSide, cover: DoubleCover):
+def cover_layout(side: CoverSide, cover: Cover):
     """Layout position of the cover side (sheet, label) with centre c, for
     a cover glued along x with sign diagonal k: ``position(sigma c)`` on
     sheet 0, and the mirror image ``reflect_x(position(sigma k c))`` on

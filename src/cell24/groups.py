@@ -5,13 +5,15 @@ leftmost letter acting last (left action, matching the Moebius word
 convention).  Generator names are arbitrary strings; single-letter lowercase
 names print compactly with capitals for inverses.
 
-Contents: free/cyclic reduction, index-2 Reidemeister-Schreier rewriting,
+Contents: free/cyclic reduction, Reidemeister-Schreier rewriting for the
+stabiliser of a sheet under any transitive action on n sheets,
 relation adjunction, Smith normal form and abelianization, HLT coset
 enumeration, and a deterministic Tietze simplifier.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 Word = tuple  # of (symbol, +-1)
@@ -124,95 +126,92 @@ def add_relations(p: Presentation, words) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# Index-2 Reidemeister-Schreier
+# Reidemeister-Schreier
 # ---------------------------------------------------------------------------
 
 
-def double_cover_generator_names(generators, eps, alpha: str) -> dict:
-    """Names of the kernel generators for the index-2 subgroup cut out by the
-    character eps, with transversal {1, alpha^-1}.
+def act(word, action, sheet: int) -> int:
+    """The sheet ``word`` sends ``sheet`` to, its rightmost letter acting
+    first; ``action[x][s]`` is the sheet generator x sends sheet s to."""
+    for sym, sign in reversed(word):
+        sheet = action[sym][sheet] if sign == 1 else action[sym].index(sheet)
+    return sheet
 
-    For an eps-preserving x the two lifts are x and alpha^-1 x alpha; for an
-    eps-reversing x they are x alpha and alpha^-1 x, except that the pair of
-    alpha itself degenerates to the single generator alpha alpha.  Keys are
-    (transversal_index, base_letter); the degenerate entry maps to None.
-    """
-    names = {}
-    inv = f"{alpha}⁻¹"
+
+def schreier_lifts(generators, action, transversal) -> dict:
+    """The lift of each generator x leaving each sheet s, keyed (x, s), as
+    (name, word).  Sheet s is the coset of transversal word T(s), and the
+    lift lands on s' = action[x][s]: it is the base word T(s')^-1 x T(s),
+    named by that word as written (inverse letters marked ⁻¹) and kept
+    freely reduced; a lift whose word reduces to 1 is a wall.  Insertion
+    order: by generator, then by the sheet its lift lands on."""
+    lifts = {}
     for x in generators:
-        if x == alpha:
-            names[(0, x)] = f"{alpha}{alpha}"
-            names[(1, x)] = None  # rho(alpha^-1 alpha) = 1, dropped
-        elif eps[x] == 1:
-            names[(0, x)] = x
-            names[(1, x)] = f"{inv}{x}{alpha}"
-        else:
-            names[(0, x)] = f"{x}{alpha}"
-            names[(1, x)] = f"{inv}{x}"
-    return names
+        for target, landing in enumerate(transversal):
+            s = action[x].index(target)
+            word = word_inverse(landing) + ((x, 1),) + transversal[s]
+            name = "".join(sym if sign == 1 else f"{sym}⁻¹" for sym, sign in word)
+            lifts[x, s] = name, free_reduce(word)
+    return lifts
 
 
-def double_cover_generators(names) -> tuple:
-    """The 2n - 1 kernel generator names of the table ``names`` (from
-    ``double_cover_generator_names``): its non-degenerate entries, whose
-    insertion order is the lifts of each base generator in transversal
-    order."""
-    return tuple(name for name in names.values() if name is not None)
-
-
-def rs_rewrite(word, eps, alpha: str, names) -> Word:
-    """Rewrite a word of the eps-kernel over the double-cover generators
-    ``names`` (from ``double_cover_generator_names``).
-
-    Scans the word left to right tracking the coset of each prefix; raises
-    GroupError if the word is not in the kernel.
-    """
-    out = []
-    sheet = 0  # 0 = trivial coset, 1 = coset of alpha^-1
-    for sym, sign in word:
-        flips = eps[sym] == -1
+def schreier_rewrite(word, action, lifts) -> Word:
+    """Rewrite a word fixing sheet 0 (else GroupError) over the names of
+    ``schreier_lifts``: each letter becomes its lift from the sheet the
+    letters to its right reach, and walls are dropped."""
+    out, sheet = [], 0
+    for sym, sign in reversed(word):
+        if sign == -1:
+            sheet = action[sym].index(sheet)
+        name, lift = lifts[sym, sheet]
+        if lift:
+            out.append((name, sign))
         if sign == 1:
-            name = names[(sheet, sym)]
-            if name is not None:
-                out.append((name, 1))
-            if flips:
-                sheet ^= 1
-        else:
-            if flips:
-                sheet ^= 1
-            name = names[(sheet, sym)]
-            if name is not None:
-                out.append((name, -1))
+            sheet = action[sym][sheet]
     if sheet != 0:
-        raise GroupError("word is not in the kernel of the character")
-    return free_reduce(tuple(out))
+        raise GroupError(f"word {word_str(word)} does not fix sheet 0")
+    return free_reduce(tuple(reversed(out)))
+
+
+def rs_subgroup(p: Presentation, action: dict, transversal) -> Presentation:
+    """Reidemeister-Schreier: the stabiliser of sheet 0 under a transitive
+    action on n sheets, given a Schreier transversal (each tail of a word
+    in it is one, so the walls are a spanning tree of the sheets).
+    Generators: the lifts of ``schreier_lifts`` but the walls.  Relators:
+    each base relator r, conjugated T(s)^-1 r T(s) by each transversal
+    word and rewritten."""
+    n = len(transversal)
+    for x in p.generators:
+        if sorted(action.get(x, ())) != list(range(n)):
+            raise GroupError(f"the action gives generator {x!r} no permutation of {n} sheets")
+    for s, t in enumerate(transversal):
+        if any(sym not in action for sym, _ in t) or act(t, action, 0) != s:
+            raise GroupError(f"transversal word {word_str(t)} does not take sheet 0 to sheet {s}")
+    for r in p.relators:
+        if any(act(r, action, s) != s for s in range(n)):
+            raise GroupError(f"relator {word_str(r)} does not act trivially on the sheets")
+    lifts = schreier_lifts(p.generators, action, transversal)
+    return Presentation(
+        tuple(name for name, word in lifts.values() if word),
+        tuple(schreier_rewrite(word_mul(word_inverse(t), r, t), action, lifts)
+              for r in p.relators for t in transversal),
+    )
 
 
 def rs_double_cover(p: Presentation, eps: dict, alpha: str) -> Presentation:
-    """Index-2 Reidemeister-Schreier: presentation of the kernel of eps.
-
-    Generators: both lifts of every base generator minus the one degenerate
-    lift of alpha (2n - 1 in total).  Relators: each base relator and its
-    alpha^-1-conjugate, rewritten (2r in total).
-    """
+    """The kernel of the character eps: ``rs_subgroup`` of its action
+    (``eps_action``) with transversal (1, alpha)."""
     if eps.get(alpha) != -1:
         raise GroupError("transversal letter must be orientation reversing")
-    for r in p.relators:
-        if any(sym not in eps for sym, _ in r):
-            raise GroupError("character must be defined on all generators")
-        value = 1
-        for sym, _ in r:
-            value *= eps[sym]
-        if value != 1:
-            raise GroupError("character does not kill every relator")
-    names = double_cover_generator_names(p.generators, eps, alpha)
-    relators = []
-    t = ((alpha, -1),)
-    for r in p.relators:
-        relators.append(rs_rewrite(r, eps, alpha, names))
-        conj = word_mul(t, r, word_inverse(t))
-        relators.append(rs_rewrite(conj, eps, alpha, names))
-    return Presentation(double_cover_generators(names), tuple(relators))
+    # A letter eps misses counts as +1 here; rs_subgroup names it.
+    if any(math.prod(eps.get(sym, 1) for sym, _ in r) != 1 for r in p.relators):
+        raise GroupError("character does not kill every relator")
+    return rs_subgroup(p, eps_action(eps), ((), ((alpha, 1),)))
+
+
+def eps_action(eps: dict) -> dict:
+    """The character's action on two sheets: a letter with eps -1 swaps them."""
+    return {x: (0, 1) if e == 1 else (1, 0) for x, e in eps.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def _assign_colors(two_handles):
 def build_diagram(source, stage, layout, fillings=()) -> KirbyDiagram:
     """Kirby data of a ``stages.Stage``, read off its domain and its checked
     cycles and orbits: one 1-handle per pairing of the domain (the glued
-    wall pair included), the killing 2-handle over the wall, one 2-handle
+    wall pairs included), a killing 2-handle over each wall, one 2-handle
     per ridge cycle, one 3-handle per edge-face orbit, plus zero-framed
     filling handles.  ``layout`` places a formal side (sheet, label)."""
     domain = stage.domain
@@ -143,7 +143,8 @@ def build_diagram(source, stage, layout, fillings=()) -> KirbyDiagram:
         # Colours are assigned per panel once every handle is known.
         return TwoHandle(hid, 0, word, framing, _panel_of(word, by_label), origin, ridges)
 
-    two = [handle("killing", ((domain.wall, 1),), "killing")] if domain.wall else []
+    two = [handle("killing" if i == 1 else f"killing-{i}", ((wall, 1),), "killing")
+           for i, wall in enumerate(domain.walls, 1)]
     for i, c in enumerate(stage.cycles, 1):
         ridges = (sorted(r, key=lambda s: (s[0], SIDE_INDEX[s[1]])) for r in c.ridges)
         two.append(handle(

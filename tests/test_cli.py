@@ -280,12 +280,12 @@ def test_cusps_builds_each_cusp_group_once(capsys, monkeypatch):
 
 
 def test_cover_builds_its_generator_names_once(capsys, monkeypatch):
-    # The Reidemeister-Schreier name table is built once per double cover
-    # (kept on DoubleCover.names) and once per rewritten presentation: an
-    # invariants call builds one cover for its five stages and rewrites the
-    # filled cover's presentation once.
-    name = "double_cover_generator_names"
-    calls = count_calls(monkeypatch, ((groups, name), (cover, name)))
+    # The Reidemeister-Schreier lift names are built once per cover (kept on
+    # Cover.lifts) and once per rewritten presentation: an invariants call
+    # builds one cover for its five stages and rewrites the filled cover's
+    # presentation once.
+    name = "schreier_lifts"
+    calls = count_calls(monkeypatch, [(groups, name)])
     assert run(capsys, "invariants", "146928")[0] == 0
     assert calls[name] == 2
     calls.clear()

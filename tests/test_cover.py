@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -11,12 +12,13 @@ from cell24.polytope import SIDE_CENTERS
 
 
 def wall_pairing(dc):
-    return next(p for p in dc.pairings if p.rule == "wall")
+    (wall,) = dc.domain.walls
+    return next(p for p in dc.pairings if p.name == wall)
 
 
 def test_cover_structure(double_cover):
     assert len(double_cover.boundary_sides) == 46
-    nontrivial = [p for p in double_cover.pairings if p.rule != "wall"]
+    nontrivial = [p for p in double_cover.pairings if p.base_word]
     assert len(nontrivial) == 23
     wall = wall_pairing(double_cover)
     assert wall.name == "g⁻¹g"
@@ -68,8 +70,6 @@ def test_cover_words_map_spheres(double_cover):
 
 def test_cover_pairings_preserve_orientation(double_cover, eps):
     for p in double_cover.pairings:
-        if p.rule == "wall":
-            continue
         assert census.eps_of_word(p.base_word, eps) == 1
 
 
@@ -239,3 +239,79 @@ def test_other_reversing_letters_build(pairings, eps):
     assert cover.cover_layout(wall.source, dc) == cover.position(SIDE_CENTERS["G"])
     assert cover.cover_layout(wall.target, dc) == cover.reflect_x(cover.position(SIDE_CENTERS["G"]))
     assert len({cover.cover_layout(side, dc) for side in dc.sides}) == 48
+
+
+S3 = tuple(permutations(range(3)))
+
+
+def _s3_actions(p):
+    """Hom(pi_1, S_3) as actions {letter: perm}, assigned letter by letter and
+    pruned on each relator once its last letter is assigned."""
+    due = {x: [r for r in p.relators if max(p.generators.index(y) for y, _ in r) == i]
+           for i, x in enumerate(p.generators)}
+    found, action = [], {}
+
+    def extend(i):
+        if i == len(p.generators):
+            found.append(dict(action))
+            return
+        x = p.generators[i]
+        for perm in S3:
+            action[x] = perm
+            if all(groups.act(r, action, s) == s for r in due[x] for s in range(3)):
+                extend(i + 1)
+        del action[x]
+
+    extend(0)
+    return found
+
+
+def _transitive_classes(gens, actions):
+    """One action per class of transitive actions up to relabelling the
+    sheets: the least of its relabellings, letters in ``gens`` order."""
+    classes = set()
+    for action in actions:
+        if len(_schreier_transversal(gens, action)) == 3:
+            classes.add(min(tuple(tuple(sg[action[x][sg.index(t)]] for t in range(3)) for x in gens)
+                            for sg in S3))
+    return [dict(zip(gens, perms)) for perms in sorted(classes)]
+
+
+def _schreier_transversal(gens, action):
+    """Breadth-first over the sheets reached from 0: T(t) = x T(s) for the
+    first letter x reaching a new sheet t from the earliest sheet s, so
+    every tail of a word is one."""
+    words, queue = {0: ()}, [0]
+    for s in queue:
+        for x in gens:
+            t = action[x][s]
+            if t not in words:
+                words[t] = ((x, 1),) + words[s]
+                queue.append(t)
+    return tuple(words[s] for s in sorted(words))
+
+
+@pytest.mark.parametrize("code, homs, classes", [
+    ("146928", 696, 111), ("ef276c", 732, 91), ("2bec36", 636, 75),
+])
+def test_index_3_rewriting_equals_geometric_cover(code, homs, classes):
+    # For every conjugacy class of index-3 subgroups, the 3-sheet domain and
+    # the Reidemeister-Schreier rewrite name the same generators in the same
+    # order and have equal H1, and the domain has chi = 3 chi(base) = 3:
+    # sheets - pairings + ridge cycles - edge-face orbits.
+    pairings = census.build_pairings(census.parse_code(code))
+    base = census.presentation(pairings, census.require_manifold(pairings)[0])
+    actions = _s3_actions(base)
+    representatives = _transitive_classes(base.generators, actions)
+    assert (len(actions), len(representatives)) == (homs, classes)
+    for action in representatives:
+        transversal = _schreier_transversal(base.generators, action)
+        algebraic = groups.rs_subgroup(base, action, transversal)
+        three = cover.build_cover(pairings, action, transversal)
+        assert len(three.domain.walls) == 2  # a spanning tree of the sheets
+        cycles = cover.cover_ridge_cycles(three)
+        geometric = cover.cover_presentation(three, cycles)
+        assert geometric.generators == algebraic.generators
+        assert groups.abelianization(geometric) == groups.abelianization(algebraic)
+        orbits = census.domain_orbits(three.domain)
+        assert 3 - len(three.domain.pairs) + len(cycles) - len(orbits) == 3

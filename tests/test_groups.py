@@ -91,6 +91,43 @@ def test_rs_errors():
         rs_double_cover(q, {"x": -1, "y": 1}, "x")
 
 
+def test_rs_subgroup_of_a_3_cycle():
+    # x moves sheet s to s + 1 mod 3, with transversal (1, x, xx): the lifts
+    # x⁻¹x and x⁻¹x⁻¹xx are walls, and the stabiliser of <x | x³> is trivial.
+    p = Presentation(("x",), (w("xxx"),))
+    sub = groups.rs_subgroup(p, {"x": (1, 2, 0)}, ((), w("x"), w("xx")))
+    assert sub.generators == ("xxx",)
+    assert sub.relators == ((("xxx", 1),),) * 3
+    assert todd_coxeter(sub) == 1
+
+
+def test_rs_missing_generator_is_a_group_error():
+    p = Presentation(("x", "y"), ())
+    with pytest.raises(GroupError, match="generator 'y'"):
+        rs_double_cover(p, {"x": -1}, "x")
+    with pytest.raises(GroupError, match="generator 'y'"):
+        groups.rs_subgroup(p, {"x": (1, 0)}, ((), w("x")))
+
+
+def test_rs_transversal_must_reach_its_sheet():
+    p = Presentation(("x",), (w("xxx"),))
+    with pytest.raises(GroupError, match="transversal word x does not take sheet 0 to sheet 2"):
+        groups.rs_subgroup(p, {"x": (1, 2, 0)}, ((), w("x"), w("x")))
+
+
+def test_rs_relators_must_act_trivially():
+    p = Presentation(("x",), (w("xx"),))
+    with pytest.raises(GroupError, match="relator xx does not act trivially"):
+        groups.rs_subgroup(p, {"x": (1, 2, 0)}, ((), w("x"), w("xx")))
+
+
+def test_rs_double_cover_keeps_its_messages():
+    with pytest.raises(GroupError, match="^transversal letter must be orientation reversing$"):
+        rs_double_cover(Presentation(("x",), ()), {"x": 1}, "x")
+    with pytest.raises(GroupError, match="^character does not kill every relator$"):
+        rs_double_cover(Presentation(("x", "y"), (w("xy"),)), {"x": -1, "y": 1}, "x")
+
+
 def test_rs_reference_counts(base_presentation, eps):
     cover = rs_double_cover(base_presentation, eps, "g")
     assert len(cover.generators) == 23
@@ -101,19 +138,15 @@ def test_rs_output_relators_in_kernel(base_presentation, eps):
     # Mapped back to the base generators, every rewritten relator must have
     # trivial character.
     cover = rs_double_cover(base_presentation, eps, "g")
-    names = groups.double_cover_generator_names(
-        base_presentation.generators, eps, "g"
-    )
-    back = {}
-    for (sheet, x), name in names.items():
-        if name is None:
-            continue
+    back = {"gg": w("gg")}
+    for x in base_presentation.generators:
         if x == "g":
-            back[name] = w("gg")
-        elif eps[x] == 1:
-            back[name] = w(x) if sheet == 0 else word_from_str("G" + x + "g")
+            continue
+        if eps[x] == 1:
+            back[x], back[f"g⁻¹{x}g"] = w(x), word_from_str("G" + x + "g")
         else:
-            back[name] = word_from_str(x + "g") if sheet == 0 else word_from_str("G" + x)
+            back[f"{x}g"], back[f"g⁻¹{x}"] = word_from_str(x + "g"), word_from_str("G" + x)
+    assert set(back) == set(cover.generators)
     for rel in cover.relators:
         base_word = ()
         for sym, sign in rel:

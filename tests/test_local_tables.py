@@ -296,9 +296,9 @@ def test_each_distinct_trace_is_built_once(sample_codes, monkeypatch):
     by_kind, _values = census._local_tables(poly)
     built, ridge_cycle = [], census._ridge_cycle
 
-    def counting(states, nodes, arrows, wall=None):
+    def counting(states, nodes, arrows, walls=()):
         built.append((tuple(nodes), tuple(arrows)))
-        return ridge_cycle(states, nodes, arrows, wall)
+        return ridge_cycle(states, nodes, arrows, walls)
 
     monkeypatch.setattr(census, "_ridge_cycle", counting)
     cycles = []
