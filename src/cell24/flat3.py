@@ -9,7 +9,7 @@ Given integer affine generators (Q, t) of such a group and their inverses
   * the holonomy group, as the keys of a transversal (``holonomy_closure``:
     linear part -> one lift),
   * the translation lattice (Schreier generators of the kernel read off the
-    transversal, then an integer row basis B),
+    transversal, then their echelon basis B from ``groups.row_basis``),
   * a minimal generating set of the point group with its lifts, and
   * the abelianization, via the standard presentation of the extension
     (lattice basis + one lift per holonomy generator; relations are the
@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .groups import smith_normal_form
+from .groups import abelian_invariants, row_basis
 from .moebius import I3
 
 
@@ -88,36 +88,6 @@ def affine_mul(f, g):
 
 
 AFFINE_ID = (I3, (0, 0, 0))
-
-
-def integer_row_basis(vectors):
-    """Basis of the Z-span of integer 3-vectors.
-
-    Euclidean row reduction column by column; the selected pivots have
-    strictly increasing leading column, hence form a basis of the span.
-    """
-    rows = [list(v) for v in vectors if any(v)]
-    basis = []
-    for col in range(3):
-        while True:
-            pool = [r for r in rows if r[col] != 0]
-            if len(pool) <= 1:
-                break
-            pool.sort(key=lambda r: abs(r[col]))
-            small = pool[0]
-            for r in pool[1:]:
-                q = r[col] // small[col]
-                for j in range(3):
-                    r[j] -= q * small[j]
-            rows = [r for r in rows if any(r)]
-        pool = [r for r in rows if r[col] != 0]
-        if pool:
-            piv = pool[0]
-            if piv[col] < 0:
-                piv[:] = [-x for x in piv]
-            basis.append(piv)
-            rows = [r for r in rows if r is not piv]
-    return [tuple(b) for b in basis]
 
 
 def holonomy_closure(affines):
@@ -200,12 +170,7 @@ def extension_h1(hol_gens, lifts, denominator=1):
         if any(x % denominator for x in t):
             raise ValueError("relator translation is not a lattice vector")
         rows.append([-(x // denominator) for x in t] + [word.count(i) for i in range(k)])
-    if not rows:
-        return (), 3, order
-    diag = smith_normal_form(rows)
-    torsion = tuple(d for d in diag if d > 1)
-    rank = (3 + k) - sum(1 for d in diag if d != 0)
-    return torsion, rank, order
+    return (*abelian_invariants(rows, 3 + k), order)
 
 
 def bieberbach_h1(affines):
@@ -225,7 +190,7 @@ def bieberbach_h1(affines):
         for g in affines:
             q, t = affine_mul(r, g)
             vectors.append(tuple(a - b for a, b in zip(t, reps[q][1])))
-    basis = integer_row_basis(vectors)
+    basis = row_basis(vectors)
     if len(basis) != 3:
         raise ValueError("cusp translation lattice must have rank 3")
     # Lattice coordinates B^-1 x = adj(B) x / det(B), B the basis as columns.

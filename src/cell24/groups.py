@@ -7,8 +7,9 @@ names print compactly with capitals for inverses.
 
 Contents: free/cyclic reduction, Reidemeister-Schreier rewriting for the
 stabiliser of a sheet under any transitive action on n sheets,
-relation adjunction, Smith normal form and abelianization, HLT coset
-enumeration, and a deterministic Tietze simplifier.
+relation adjunction, echelon bases of integer lattices, Smith normal form
+and abelianization, HLT coset enumeration, and a deterministic Tietze
+simplifier.
 """
 
 from __future__ import annotations
@@ -144,7 +145,9 @@ def schreier_lifts(generators, action, transversal) -> dict:
     lift lands on s' = action[x][s]: it is the base word T(s')^-1 x T(s),
     named by that word as written (inverse letters marked ⁻¹) and kept
     freely reduced; a lift whose word reduces to 1 is a wall.  Insertion
-    order: by generator, then by the sheet its lift lands on."""
+    order: by generator, then by the sheet its lift lands on.  The walls
+    of a Schreier transversal span the n sheets as a tree, so there must
+    be n - 1 of them (else GroupError)."""
     lifts = {}
     for x in generators:
         for target, landing in enumerate(transversal):
@@ -152,6 +155,10 @@ def schreier_lifts(generators, action, transversal) -> dict:
             word = word_inverse(landing) + ((x, 1),) + transversal[s]
             name = "".join(sym if sign == 1 else f"{sym}⁻¹" for sym, sign in word)
             lifts[x, s] = name, free_reduce(word)
+    walls = sum(1 for _, word in lifts.values() if not word)
+    if walls != len(transversal) - 1:
+        raise GroupError(f"the transversal gives {walls} walls on {len(transversal)} "
+                         "sheets; a Schreier transversal gives one fewer than sheets")
     return lifts
 
 
@@ -219,72 +226,54 @@ def eps_action(eps: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def row_basis(vectors):
+    """Echelon basis of the Z-span of integer vectors of one width, by
+    Euclid on each column in turn: leading columns strictly increase and
+    leading entries are positive."""
+    rows = [list(v) for v in vectors]
+    basis = []
+    for col in range(len(rows[0]) if rows else 0):
+        pool = [r for r in rows if r[col]]
+        while len(pool) > 1:
+            small = min(pool, key=lambda r: abs(r[col]))
+            for r in pool:
+                if r is not small:
+                    q = r[col] // small[col]
+                    r[:] = [a - q * b for a, b in zip(r, small)]
+            pool = [r for r in pool if r[col]]
+        if pool:
+            sign = 1 if pool[0][col] > 0 else -1
+            basis.append(tuple(sign * x for x in pool[0]))
+            rows = [r for r in rows if not r[col]]
+    return basis
+
+
 def smith_normal_form(matrix):
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns a list of length min(rows, cols): nonnegative entries with each
     dividing the next, zeros trailing.
     """
-    m = [list(map(int, row)) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    diag = []
-    top = 0
-    while top < min(rows, cols):
-        # Find a nonzero pivot of least absolute value.
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        m[top], m[i] = m[i], m[top]
-        for row in m:
-            row[top], row[j] = row[j], row[top]
-        while True:
-            pivot = m[top][top]
-            done = True
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // pivot
-                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q = m[top][j] // pivot
-                    for row in m:
-                        row[j] -= q * row[top]
-                    if m[top][j]:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        done = False
-                        break
-            if done:
-                break
-        # Pivot must divide the rest of the matrix; absorb a bad row if not.
-        pivot = abs(m[top][top])
-        offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if m[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            m[top] = [a + b for a, b in zip(m[top], m[offender])]
-            continue
-        diag.append(pivot)
-        top += 1
-    diag += [0] * (min(rows, cols) - len(diag))
-    return diag
+    shape = min(len(matrix), len(matrix[0]) if matrix else 0)
+    # Echelon bases of the rows and of the columns in turn, until each row
+    # has one entry.  This ends: |m[0][0]| never grows, since each new basis
+    # starts with the gcd of the line through it, and it falls strictly
+    # until its row and column are clear; then m[1][1] does the same.
+    m = row_basis(matrix)
+    while any(sum(map(bool, row)) > 1 for row in m):
+        m = row_basis(zip(*m))
+    diag = [max(row) for row in m]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag + [0] * (shape - len(diag))
+
+
+def abelian_invariants(rows, width):
+    """(torsion, free rank) of Z^width modulo the span of integer rows."""
+    diag = smith_normal_form(rows)
+    return tuple(d for d in diag if d > 1), width - sum(1 for d in diag if d)
 
 
 def abelianization(p: Presentation):
@@ -296,12 +285,7 @@ def abelianization(p: Presentation):
         for sym, sign in r:
             row[index[sym]] += sign
         matrix.append(row)
-    if not matrix:
-        return (), len(p.generators)
-    diag = smith_normal_form(matrix)
-    torsion = tuple(d for d in diag if d > 1)
-    rank = len(p.generators) - sum(1 for d in diag if d != 0)
-    return torsion, rank
+    return abelian_invariants(matrix, len(p.generators))
 
 
 # ---------------------------------------------------------------------------

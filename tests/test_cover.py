@@ -43,6 +43,12 @@ def test_alpha_must_reverse(pairings, eps):
         cover.build_double_cover(pairings, eps, "a")
 
 
+def test_cover_needs_a_schreier_transversal(pairings, eps):
+    # ggg reaches sheet 1 but no lift reduces to 1: the sheets have no wall.
+    with pytest.raises(groups.GroupError, match="0 walls on 2 sheets"):
+        cover.build_cover(pairings, groups.eps_action(eps), ((), word_from_str("ggg")))
+
+
 def test_cover_words_map_spheres(double_cover):
     # Each pairing word carries the six ideal vertices of the source side
     # (as a subset of the doubled domain, whose sheet 1 is the copy

@@ -3,7 +3,8 @@
 Each README invocation on 146928 (text and JSON, every stage, the cover
 along e, the base, cover and filled Kirby documents, the four SVG panels,
 the report directory and the trace), plus a few other codes (112124's
-cycles of lengths 2 and 4, ef276c's base diagram and its cover along c), is
+cycles of lengths 2 and 4, ef276c's base diagram, its cover along c and
+the invariants of both), is
 pinned by the sha256 of its stdout and of every file it writes; with ``-o
 FILE`` each invocation writes exactly its stdout bytes to the file.  A change that moves
 one byte of this output fails here; regenerate the digests only for an
@@ -52,6 +53,8 @@ INVOCATIONS = {
     "validate-a5e164": ["validate", "a5e164"],
     "invariants-a9e1d6-base": ["invariants", "a9e1d6", "--stage", "base"],
     "invariants-a9e1d6-cover": ["invariants", "a9e1d6", "--stage", "cover"],
+    "invariants-ef276c-base": ["invariants", "ef276c", "--stage", "base"],
+    "invariants-ef276c-cover": ["invariants", "ef276c", "--stage", "cover"],
 }
 JSON_VARIANTS = (
     "validate", "pairings", "cycles", "presentation", "presentation-fill", "cusps",
@@ -83,6 +86,9 @@ DIGESTS = {
     "invariants-a9e1d6-base-json": "6c1e961272dc24cab622e6324bbf5e8a933ae8bfd6009e7eec88968e5b729c47",
     "invariants-a9e1d6-cover": "8cc1535c59e6488b08ab1b1eceb6a2656acbcdf8943d6d037d1eeae856436220",
     "invariants-a9e1d6-cover-json": "b355863c89f06da1ad9128dcc2c28adf68bd0520fbdcd09b2ab804e03bf4ba9e",
+    # ef276c's cover H1 has torsion of two orders beside its free rank.
+    "invariants-ef276c-base": "af91aa36dae45afe937d3036ec4133edde10851904c3d16c8a4668cd365e4328",
+    "invariants-ef276c-cover": "15033f2dc2a0d084285de824d0aeeeda1d86b40386fc45424138a93272976d67",
     "invariants": "4f635a8c037168e5fdbad07754b70abdc44243f76b0b86d87db61a080019b90b",
     "invariants-base": "50f62ca34ff1807993cc53438d7b2a4a9f439836de5562c883170b2e6fb3c0d4",
     "invariants-base-json": "b81e1eb88f35f9984241772eb66d90378a16d300d614719f30fac0a57a9b3ab5",

@@ -12,6 +12,7 @@ from cell24.groups import (
     add_relations,
     cyclic_reduce,
     free_reduce,
+    row_basis,
     rs_double_cover,
     smith_normal_form,
     tietze_simplify,
@@ -121,6 +122,19 @@ def test_rs_relators_must_act_trivially():
         groups.rs_subgroup(p, {"x": (1, 2, 0)}, ((), w("x"), w("xx")))
 
 
+def test_rs_transversal_must_be_schreier():
+    # x = (1, 2, 0) and y = (1, 0, 2) act transitively on 3 sheets of the
+    # free group <x, y | >.  (1, y, xx) reaches every sheet, but xx's tail x
+    # is not in it, so only one lift is a wall and the rewrite would give 5
+    # generators where an index-3 subgroup of F2 has rank 4.
+    p = Presentation(("x", "y"), ())
+    action = {"x": (1, 2, 0), "y": (1, 0, 2)}
+    with pytest.raises(GroupError, match="1 walls on 3 sheets"):
+        groups.rs_subgroup(p, action, ((), w("y"), w("xx")))
+    sub = groups.rs_subgroup(p, action, ((), w("x"), w("xx")))
+    assert len(sub.generators) == 4 and sub.relators == ()
+
+
 def test_rs_double_cover_keeps_its_messages():
     with pytest.raises(GroupError, match="^transversal letter must be orientation reversing$"):
         rs_double_cover(Presentation(("x",), ()), {"x": 1}, "x")
@@ -177,6 +191,7 @@ def test_abelianization_examples():
     zz = Presentation(("e", "g"), (w("ee"), w("gg"), w("egEG")))
     assert abelianization(zz) == ((2, 2), 0)
     assert abelianization(Presentation(("x",), ())) == ((), 1)
+    assert abelianization(Presentation((), ())) == ((), 0)
 
 
 def test_smith_normal_form_examples():
@@ -186,6 +201,15 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
     assert smith_normal_form([[1]]) == [1]
     assert smith_normal_form([[6, 10], [15, 25]]) == [1, 0]
+    # edge shapes: no rows, zero rows and columns, one row, one column
+    assert smith_normal_form([]) == []
+    assert smith_normal_form([[0, 0, 0]]) == [0]
+    assert smith_normal_form([[0], [0]]) == [0]
+    assert smith_normal_form([[4, -6, 10]]) == [2]
+    assert smith_normal_form([[-4], [6], [0]]) == [2]
+    # a zero row and a zero column only pad the diagonal
+    assert smith_normal_form([[0, 0, 0], [0, 3, 0], [0, 0, 0], [0, 0, 6]]) == [3, 6, 0]
+    assert smith_normal_form([[0, 2, 4], [0, 4, 2]]) == [2, 6]
 
 
 def _minor_gcd_oracle(matrix, k):
@@ -214,11 +238,14 @@ def _det(m):
 def test_smith_normal_form_against_minor_oracle():
     rng = random.Random(31)
     for _ in range(200):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        m = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(cols)]
+             for _ in range(rows)]
         diag = smith_normal_form(m)
-        # divisibility chain
+        assert len(diag) == min(rows, cols)
+        # divisibility chain, zeros last
+        assert diag == sorted(diag, key=lambda d: d == 0)
         nonzero = [d for d in diag if d]
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
@@ -228,6 +255,32 @@ def test_smith_normal_form_against_minor_oracle():
             oracle = _minor_gcd_oracle(m, k)
             prod *= d
             assert prod == oracle
+
+
+def test_row_basis_is_an_echelon_basis_of_the_span():
+    rng = random.Random(7)
+    for width in range(1, 7):
+        assert row_basis([(0,) * width] * 3) == []
+        for _ in range(40):
+            vectors = [tuple(rng.randint(-5, 5) if rng.random() < 0.6 else 0
+                             for _ in range(width)) for _ in range(rng.randint(1, 5))]
+            basis = row_basis(vectors)
+            leads = [next(j for j, x in enumerate(b) if x) for b in basis]
+            assert leads == sorted(set(leads))
+            assert all(b[j] > 0 for b, j in zip(basis, leads))
+            for v in vectors:
+                # back-substitution against the echelon rows leaves nothing
+                v = list(v)
+                for b, j in zip(basis, leads):
+                    q, r = divmod(v[j], b[j])
+                    assert r == 0
+                    v = [x - q * y for x, y in zip(v, b)]
+                assert not any(v)
+            # the inputs lie in the basis's span, and their top determinantal
+            # divisor is the basis's: the two spans are equal
+            if basis:
+                k = len(basis)
+                assert _minor_gcd_oracle(vectors, k) == _minor_gcd_oracle(basis, k)
 
 
 # -- coset enumeration ----------------------------------------------------------
